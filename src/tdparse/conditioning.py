@@ -284,12 +284,6 @@ class ContextModel:
 
     # -- context extraction -------------------------------------------------
 
-    def select_path(self, spine: Optional[SpineNode], lhs: str) -> str:
-        if lhs not in self.grammar.preterminals:
-            return LEFT
-        siblings = spine.children if spine is not None else ()
-        return RIGHT if siblings else MIDDLE
-
     def extract_values(self, spine: Optional[SpineNode], lhs: str) -> tuple[str, tuple]:
         """Conditioning values for expanding ``lhs`` in this context.
 

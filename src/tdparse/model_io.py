@@ -278,8 +278,10 @@ def load_model(path: str) -> ParserModel:
             elif kind == "lap":
                 if parts[1] == "k":
                     lap_k = int(parts[2])
-                else:
+                elif parts[1] in lap_rows:
                     lap_rows[parts[1]].append(parts[2:])
+                else:
+                    raise ModelIOError(f"{path}:{lineno}: unknown lap record {parts[1]!r}")
             elif kind == "ngram":
                 if parts[1] == "order":
                     ngram_order = int(parts[2])
@@ -303,6 +305,9 @@ def load_model(path: str) -> ParserModel:
         raise ModelIOError(f"{path}: missing conditioning config")
     if ngram_order is None:
         raise ModelIOError(f"{path}: missing ngram section")
+    for name in ("strip_punctuation", "number_token", "vocab_cap", "unk_token", "end_token"):
+        if name not in norm_fields:
+            raise ModelIOError(f"{path}: missing norm field {name!r}")
 
     normalization = NormalizationConfig(
         strip_punctuation=bool(int(norm_fields["strip_punctuation"])),
@@ -321,8 +326,13 @@ def load_model(path: str) -> ParserModel:
     )
     context.lambdas = clams
     for level, values, rid, count in ctx_rows:
+        if not (0 <= level < len(context.tables) and 0 <= rid < len(grammar.rules)):
+            raise ModelIOError(f"{path}: ctx record for rule {rid} at level {level} is out of range")
         context.tables[level].setdefault(values, {})[rid] = count
         context.totals[level][values] = context.totals[level].get(values, 0) + count
+    level0 = {(lhs,): {rid: rule_counts[r] for r, rid, _ in exps} for lhs, exps in grammar.by_lhs.items()}
+    if context.tables[0] != level0:
+        raise ModelIOError(f"{path}: level-0 ctx counts differ from the rule counts")
 
     lookahead = LookaheadTables(lap_k)
     for label, n in ((r[0], int(r[1])) for r in lap_rows["occ"]):

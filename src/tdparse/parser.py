@@ -4,18 +4,21 @@ The parser keeps one queue of candidate analyses per input position.  An
 analysis is a stack of grammar symbols left to expand, the partial tree
 built so far (as a spine, see conditioning.py), its derivation log
 probability, and a figure of merit that multiplies in the lookahead
-probability of the word it now has to explain.  Processing a queue pops
-analyses best-first; rules that consume the current word move their
-successor to the next queue, all other rules push back into the current
-one.  A queue stops when it empties, when the best remaining figure of
-merit falls below
+probability of the word it now has to explain.  One kernel runs every
+queue: it pops analyses best-first and pushes their successors back,
+except goals, which it collects.  While words remain, a goal consumes
+the current word and the goals form the next queue; after the last word
+a goal is a full parse, an analysis whose stack has emptied.  A queue
+stops when it empties, when the best remaining figure of merit falls
+below
 
     gamma * |H| ** 3 * best,
 
-where best and |H| are the top figure of merit and size of the next
-queue so far, or when the pop budget runs out.  base_beam = 0 switches
-every cutoff off and enumerates exactly; that terminates only for
-grammars without left recursion or unary cycles.
+where best and |H| are the top figure of merit and number of the goals
+so far, or when the pop budget runs out.  base_beam = 0 switches every
+cutoff off and enumerates exactly; that terminates only for grammars
+without left recursion or unary cycles, so exact mode refuses a grammar
+with a cycle in its left-corner graph.
 
 The initial content of queue i, before any same-position work, is
 exactly the set of analyses that consumed the i-word prefix, so its
@@ -59,6 +62,29 @@ class ParserConfig:
 def beam_threshold(best_logf: float, queue_size: int, base_beam: float) -> float:
     """Log figure-of-merit cutoff given the next queue's best entry and size."""
     return best_logf + math.log(base_beam) + 3.0 * math.log(queue_size)
+
+
+def _left_recursive_symbol(grammar: Pcfg) -> Optional[str]:
+    """The first symbol, in sorted order, that is its own left corner.
+
+    ``A -> B C`` makes B and B's left corners left corners of A, and C and
+    its left corners as well when B can derive the empty string.
+    """
+    nullable: set[str] = set()
+    corners: dict[str, set[str]] = {lhs: set() for lhs in grammar.by_lhs}
+    grew = True
+    while grew:
+        before = sum(map(len, corners.values())) + len(nullable)
+        for rule in grammar.rules:
+            if not rule.lexical:
+                for sym in rule.rhs:
+                    corners[rule.lhs] |= {sym} | corners[sym]
+                    if sym not in nullable:
+                        break
+                else:
+                    nullable.add(rule.lhs)
+        grew = sum(map(len, corners.values())) + len(nullable) > before
+    return next((sym for sym in sorted(corners) if sym in corners[sym]), None)
 
 
 class Analysis:
@@ -113,6 +139,10 @@ class BeamParser:
     ):
         if context.grammar is not grammar:
             raise ParseError("context model was built for a different grammar")
+        if config.base_beam == 0.0:
+            symbol = _left_recursive_symbol(grammar)
+            if symbol is not None:
+                raise ParseError(f"exact mode would not terminate: {symbol!r} is its own left corner")
         self.grammar = grammar
         self.context = context
         self.lookahead = lookahead
@@ -132,117 +162,82 @@ class BeamParser:
     def advance(
         self, entries: list[Analysis], word: str, next_word: Optional[str]
     ) -> tuple[list[Analysis], int, int]:
-        """Run one queue to completion and collect the next queue's entries.
-
-        ``word`` is what analyses must consume to advance; ``next_word``
-        is only used to score the advanced successors' figures of merit.
-        Returns (next entries, pops, pushes).
-        """
-        exact = self.config.base_beam == 0.0
-        log_gamma = None if exact else math.log(self.config.base_beam)
-        tie = itertools.count()
-        heap = [(-e.logf, next(tie), e) for e in entries]
-        heapq.heapify(heap)
-        nxt: list[Analysis] = []
-        best_next = -math.inf
-        pops = pushes = 0
-        while heap:
-            if not exact:
-                if nxt and -heap[0][0] < beam_threshold(best_next, len(nxt), self.config.base_beam):
-                    break
-                if pops >= self.config.max_pops:
-                    break
-            a = heapq.heappop(heap)[2]
-            pops += 1
-            if not a.stack:
-                # Derivation finished with input left over: a dead end.
-                continue
-            top = a.stack[-1]
-            score = self.context.scorer(a.spine, top)
-            for rule, rid, _ in self.grammar.expansions(top):
-                lp = score(rid)
-                if lp == -math.inf:
-                    continue
-                if rule.lexical:
-                    if rule.rhs[0] != word:
-                        continue
-                    stack = a.stack[:-1]
-                    logp = a.logp + lp
-                    logf = logp + self._lap_log(stack, next_word)
-                    if not exact and nxt and logf < beam_threshold(
-                        best_next, len(nxt), self.config.base_beam
-                    ):
-                        continue
-                    spine, done = apply_rule(a.spine, rule)
-                    nxt.append(Analysis(stack, spine, logp, logf, a.pos + 1, a.rules + (rid,), done))
-                    pushes += 1
-                    if logf > best_next:
-                        best_next = logf
-                else:
-                    if rule.rhs:
-                        stack = a.stack[:-1] + (rule.rhs[1], rule.rhs[0])
-                    else:
-                        stack = a.stack[:-1]
-                        if not stack:
-                            # Completed before the input ran out; drop.
-                            continue
-                    spine, _ = apply_rule(a.spine, rule)
-                    logp = a.logp + lp
-                    logf = logp + self._lap_log(stack, word)
-                    heapq.heappush(heap, (-logf, next(tie), Analysis(stack, spine, logp, logf, a.pos, a.rules + (rid,))))
-                    pushes += 1
-        return nxt, pops, pushes
+        """Run one queue; return (next queue's entries, pops, pushes)."""
+        return self._expand(entries, word, next_word)
 
     def finish(self, entries: list[Analysis]) -> tuple[list[Analysis], int, int]:
-        """Erase what remains after the last word and collect full parses."""
-        exact = self.config.base_beam == 0.0
+        """Run the last queue; return (full parses best first, pops, pushes)."""
+        return self._expand(entries, None, None)
+
+    def _expand(
+        self, entries: list[Analysis], word: Optional[str], next_word: Optional[str]
+    ) -> tuple[list[Analysis], int, int]:
+        """Pop ``entries`` best-first until the queue stops; collect its goals.
+
+        Mid-sentence a goal is an analysis that consumes ``word`` with a
+        lexical rule; ``next_word`` only scores its figure of merit.  At
+        the end of input (``word`` None) a goal is an emptied stack: a
+        full parse, whose figure of merit is its log probability.  Goals
+        are collected, never expanded.
+        """
+        ending = word is None
+        base_beam = self.config.base_beam
+        exact = base_beam == 0.0
         tie = itertools.count()
         heap = [(-e.logf, next(tie), e) for e in entries]
         heapq.heapify(heap)
-        completed: list[Analysis] = []
-        best_done = -math.inf
+        goals: list[Analysis] = []
+        best = -math.inf
         pops = pushes = 0
         while heap:
             if not exact:
-                if completed and -heap[0][0] < beam_threshold(
-                    best_done, len(completed), self.config.base_beam
-                ):
+                if goals and -heap[0][0] < beam_threshold(best, len(goals), base_beam):
                     break
                 if pops >= self.config.max_pops:
                     break
             a = heapq.heappop(heap)[2]
             pops += 1
             if not a.stack:
-                # Emptied exactly at the input boundary by a lexical rule.
-                if a.tree is not None:
-                    completed.append(a)
-                    if a.logp > best_done:
-                        best_done = a.logp
+                # Emptied by a lexical rule: a full parse at the end of
+                # input, a dead end while words remain.
+                if ending and a.tree is not None:
+                    goals.append(a)
+                    best = max(best, a.logp)
                 continue
             top = a.stack[-1]
             score = self.context.scorer(a.spine, top)
             for rule, rid, _ in self.grammar.expansions(top):
-                if rule.lexical:
+                if rule.lexical and rule.rhs[0] != word:
                     continue
                 lp = score(rid)
                 if lp == -math.inf:
                     continue
-                spine, done = apply_rule(a.spine, rule)
                 logp = a.logp + lp
-                if rule.rhs:
-                    stack = a.stack[:-1] + (rule.rhs[1], rule.rhs[0])
-                else:
+                rules = a.rules + (rid,)
+                if rule.lexical:
                     stack = a.stack[:-1]
-                    if not stack:
-                        completed.append(Analysis((), None, logp, logp, a.pos, a.rules + (rid,), done))
-                        if logp > best_done:
-                            best_done = logp
+                    logf = logp + self._lap_log(stack, next_word)
+                    if not exact and goals and logf < beam_threshold(best, len(goals), base_beam):
                         continue
-                logf = logp + self._lap_log(stack, None)
-                heapq.heappush(heap, (-logf, next(tie), Analysis(stack, spine, logp, logf, a.pos, a.rules + (rid,))))
+                    spine, done = apply_rule(a.spine, rule)
+                    goals.append(Analysis(stack, spine, logp, logf, a.pos + 1, rules, done))
+                    pushes += 1
+                    best = max(best, logf)
+                    continue
+                stack = a.stack[:-1] + (rule.rhs[1], rule.rhs[0]) if rule.rhs else a.stack[:-1]
+                spine, done = apply_rule(a.spine, rule)
+                if not stack:
+                    # An epsilon rule closed the root: complete only at the end.
+                    if ending:
+                        goals.append(Analysis((), None, logp, logp, a.pos, rules, done))
+                        best = max(best, logp)
+                    continue
+                logf = logp + self._lap_log(stack, word)
+                heapq.heappush(heap, (-logf, next(tie), Analysis(stack, spine, logp, logf, a.pos, rules)))
                 pushes += 1
-        completed.sort(key=lambda c: (-c.logp, c.rules))
-        return completed, pops, pushes
+        if ending:
+            goals.sort(key=lambda c: (-c.logp, c.rules))
+        return goals, pops, pushes
 
     # -- the whole pipeline ----------------------------------------------------
 
@@ -282,9 +277,8 @@ class BeamParser:
     def _snapshot(self, entries: list[Analysis]) -> QueueInfo:
         if not entries:
             return QueueInfo(0.0, 0, None)
-        mass = math.fsum(math.exp(e.logp) for e in entries)
         best = max(entries, key=lambda e: e.logf)
-        return QueueInfo(mass, len(entries), best)
+        return QueueInfo(queue_mass(entries), len(entries), best)
 
     def _partial_tree(self, analysis: Analysis, remaining: list[str]) -> Tree:
         """Close the spine and park unconsumed words under the root.
@@ -322,8 +316,7 @@ class BeamParser:
             Analysis(e.stack, e.spine, e.logp, e.logp + self._lap_log(e.stack, word), e.pos, e.rules)
             for e in entries
         ]
-        nxt, _, _ = self.advance(rescored, word, None)
-        return math.fsum(math.exp(e.logp) for e in nxt)
+        return queue_mass(self.advance(rescored, word, None)[0])
 
 
 def queue_mass(entries: list[Analysis]) -> float:

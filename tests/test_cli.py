@@ -109,6 +109,48 @@ def test_parse_missing_model(tmp_path, capsys):
     assert stderr.startswith("error=")
 
 
+def test_parse_rejects_model_without_ctx_tables(g1_model_path, tmp_path, capsys):
+    broken = tmp_path / "broken.model"
+    lines = g1_model_path.read_text().splitlines()
+    broken.write_text("\n".join(l for l in lines if not l.startswith("ctx ")) + "\n")
+    rc, stdout, stderr = _run(capsys, [
+        "parse",
+        "--model", str(broken),
+        "--input", str(FIXTURES / "g1.sents"),
+    ])
+    assert rc == EXIT_ERROR
+    assert stdout == ""
+    assert stderr.startswith("error=") and len(stderr.splitlines()) == 1
+    assert "ctx counts differ" in stderr
+
+
+def test_exact_parse_rejects_left_recursive_grammar(tmp_path, capsys):
+    trees = tmp_path / "lr.trees"
+    trees.write_text(
+        "(S (NP (NP (NN dog)) (PP (IN of) (NP (NN Spot)))) (VP (VBD ran)))\n"
+        "(S (NP (NN Spot)) (VP (VBD ran)))\n"
+    )
+    sents = tmp_path / "lr.sents"
+    sents.write_text("Spot ran\n")
+    model = tmp_path / "lr.model"
+    rc, _, _ = _run(capsys, [
+        "train", "--trees", str(trees), "--heldout", str(trees), "--out", str(model),
+    ])
+    assert rc == EXIT_OK
+    rc, stdout, stderr = _run(capsys, [
+        "parse", "--model", str(model), "--input", str(sents), "--base-beam", "0",
+    ])
+    assert rc == EXIT_ERROR
+    assert stdout == ""
+    assert stderr.startswith("error=") and len(stderr.splitlines()) == 1
+    assert "'NP' is its own left corner" in stderr
+    rc, stdout, _ = _run(capsys, [
+        "parse", "--model", str(model), "--input", str(sents),
+    ])
+    assert rc == EXIT_OK
+    assert "status=parsed" in stdout
+
+
 def test_ppl_report(g1_model_path, capsys):
     rc, stdout, _ = _run(capsys, [
         "ppl",

@@ -132,10 +132,10 @@ def test_select_path(g1):
     grammar, cm, _ = g1
     s = SpineNode("S", (), None)
     np = SpineNode("NP", (), s)
-    assert cm.select_path(np, "NP") == LEFT
-    assert cm.select_path(np, "NN") == MIDDLE
-    assert cm.select_path(SpineNode("NP", (_pt("DT", "the"),), s), "NN") == RIGHT
-    assert cm.select_path(None, AXIOM) == LEFT
+    assert cm.extract_values(np, "NP")[0] == LEFT
+    assert cm.extract_values(np, "NN")[0] == MIDDLE
+    assert cm.extract_values(SpineNode("NP", (_pt("DT", "the"),), s), "NN")[0] == RIGHT
+    assert cm.extract_values(None, AXIOM)[0] == LEFT
 
 
 def test_extract_values_along_g1_derivation(g1):

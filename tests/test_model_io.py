@@ -143,3 +143,57 @@ def test_load_requires_core_sections(tmp_path):
     stub.write_text("tdparse-model 1\n")
     with pytest.raises(ModelIOError, match="missing grammar"):
         load_model(str(stub))
+
+
+def _tampered(g1_model, tmp_path, edit) -> str:
+    """Save g1, rewrite its lines with ``edit``, return the broken file."""
+    path = tmp_path / "g1.model"
+    save_model(g1_model.model, str(path))
+    broken = tmp_path / "broken.model"
+    broken.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+    return str(broken)
+
+
+def test_load_requires_every_norm_field(g1_model, tmp_path):
+    path = _tampered(
+        g1_model, tmp_path, lambda lines: [l for l in lines if not l.startswith("norm vocab_cap ")]
+    )
+    with pytest.raises(ModelIOError, match="missing norm field 'vocab_cap'"):
+        load_model(path)
+
+
+def test_load_rejects_unknown_lap_record(g1_model, tmp_path):
+    path = _tampered(g1_model, tmp_path, lambda lines: lines + ["lap zz NP 1"])
+    with pytest.raises(ModelIOError, match=r"broken\.model:\d+: unknown lap record 'zz'"):
+        load_model(path)
+
+
+def test_load_rejects_ctx_rule_outside_grammar(g1_model, tmp_path):
+    def edit(lines):
+        out = []
+        for line in lines:
+            parts = line.split()
+            if parts[0] == "ctx":
+                parts[-2] = "999999"
+            out.append(" ".join(parts))
+        return out
+
+    with pytest.raises(ModelIOError, match="rule 999999 at level 0 is out of range"):
+        load_model(_tampered(g1_model, tmp_path, edit))
+
+
+def test_load_rejects_missing_ctx_tables(g1_model, tmp_path):
+    path = _tampered(g1_model, tmp_path, lambda lines: [l for l in lines if not l.startswith("ctx ")])
+    with pytest.raises(ModelIOError, match="level-0 ctx counts differ from the rule counts"):
+        load_model(path)
+
+
+def test_load_rejects_level0_ctx_count_drift(g1_model, tmp_path):
+    def edit(lines):
+        i = next(i for i, l in enumerate(lines) if l.startswith("ctx 0 "))
+        parts = lines[i].split()
+        parts[-1] = str(int(parts[-1]) + 1)
+        return lines[:i] + [" ".join(parts)] + lines[i + 1 :]
+
+    with pytest.raises(ModelIOError, match="level-0 ctx counts differ"):
+        load_model(_tampered(g1_model, tmp_path, edit))

@@ -5,7 +5,7 @@ import pytest
 from support import build_parser, fixture_sentences, fixture_trees
 from tdparse.grammar import left_factor_tree, log_tree_probability, unfactor_tree
 from tdparse.oracle import derivation_tree, enumerate_derivations
-from tdparse.parser import ParseError, ParserConfig, beam_threshold, queue_mass
+from tdparse.parser import BeamParser, ParseError, ParserConfig, beam_threshold, queue_mass
 from tdparse.treebank import END_TOKEN, augment_with_stop, parse_trees
 
 
@@ -166,3 +166,59 @@ def test_deterministic_across_runs(g2_parser):
     assert a.masses == b.masses
     assert a.pops == b.pops and a.pushes == b.pushes
     assert a.tree == b.tree
+
+
+def _effort(parser, sents):
+    """Summed (pops, pushes, completed parses) over a list of sentences."""
+    runs = [parser.parse(words) for words in sents]
+    return (
+        sum(r.pops for r in runs),
+        sum(r.pushes for r in runs),
+        sum(len(r.completed) for r in runs),
+    )
+
+
+@pytest.mark.parametrize(
+    "gamma, max_pops, want",
+    [
+        (1e-11, 10_000, (5237, 7255, 92)),
+        (1e-7, 10_000, (3392, 4879, 64)),
+        (1e-3, 10_000, (2231, 3225, 60)),
+        (1e-11, 20, (5204, 7213, 92)),  # the pop budget binds
+    ],
+)
+def test_search_effort_on_desk(desk, gamma, max_pops, want):
+    m = desk.models["all"]
+    config = ParserConfig(base_beam=gamma, max_pops=max_pops)
+    parser = BeamParser(m.grammar, m.context, m.lookahead, config)
+    assert _effort(parser, desk.sents) == want
+
+
+@pytest.mark.parametrize(
+    "name, want",
+    [
+        ("g1", (77, 73, 4)),
+        ("g2", (164, 160, 5)),
+        ("g3", (199, 194, 9)),
+        ("g4", (104, 100, 4)),
+        ("g5", (162, 159, 6)),
+    ],
+)
+def test_exact_search_effort(name, want):
+    parser = build_parser(fixture_trees(f"{name}.trees"))
+    sents = [s + [END_TOKEN] for s in fixture_sentences(f"{name}.sents")]
+    assert _effort(parser, sents) == want
+
+
+def test_exact_mode_rejects_left_recursion(desk):
+    m = desk.models["all"]
+    with pytest.raises(ParseError, match="'NP' is its own left corner"):
+        BeamParser(m.grammar, m.context, m.lookahead, ParserConfig(base_beam=0.0))
+    BeamParser(m.grammar, m.context, m.lookahead, ParserConfig(base_beam=1e-11))
+
+
+def test_exact_mode_rejects_unary_cycle():
+    trees = parse_trees("(S (X (Y (X (NN a)))))\n(S (X (NN b)))")
+    with pytest.raises(ParseError, match="'X' is its own left corner"):
+        build_parser(trees)
+    build_parser(trees, base_beam=1e-11)
