@@ -32,7 +32,10 @@ on heldout derivations.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
+from functools import reduce
+from operator import add, itemgetter
 from typing import Callable, Iterable, Iterator, Optional
 
 from .grammar import Pcfg, Rule, split_factored, tree_to_derivation
@@ -466,43 +469,77 @@ def tune_interpolation(
     lam_k * prod_{j>k} (1 - lam_j) on level k.  M-step: a key's new weight
     is the expected share of events that stop at its level among those
     reaching it.  Heldout likelihood never decreases.
+
+    Heldout events repeat heavily, so the E-step scores each distinct
+    event once per iteration.  Its terms go to fixed slots of one flat
+    list, and every total (the log-likelihood, and each key's stop and
+    reach mass) is a left fold over its slots in heldout order: the same
+    float additions, in the same order, as a loop over every event, so
+    the weights are bit-identical to it.  Weighting by multiplicity would
+    round differently.
     """
-    keys = {key for _, levels in events for key, _ in levels}
-    lam = {key: 0.5 for key in keys}
+    index: dict[tuple, int] = {}
+    ids: dict[tuple, int] = {}
+    distinct: list[tuple[float, list[tuple[int, float]], int]] = []
+    places: list[list[tuple[int, int]]] = []
+    # Fold 0 sums the log-likelihood; folds 1 + 2k and 2 + 2k sum key k's
+    # stop and reach mass.  Slot 0 stays 0.0 and starts every fold.
+    gathers: defaultdict[int, list[int]] = defaultdict(list)
+    width = 1
+    for p0, levels in events:
+        i = ids.setdefault((p0, tuple(levels)), len(ids))
+        if i == len(distinct):
+            top = [(index.setdefault(key, len(index)), ph) for key, ph in reversed(levels)]
+            distinct.append((p0, top, width))
+            place = [(0, width)]
+            for k, _ in top:
+                place += [(1 + 2 * k, width + 1), (2 + 2 * k, width + 2)]
+                width += 2
+            places.append(place)
+            width += 1
+        for fold, slot in places[i]:
+            gathers[fold].append(slot)
+    folds = [itemgetter(0, *gathers[fold]) for fold in range(1 + 2 * len(index))]
+
+    lam = [0.5] * len(index)
     history: list[float] = []
     prev = None
     for _ in range(max_iter):
-        ll = 0.0
-        stop = dict.fromkeys(keys, 0.0)
-        reach = dict.fromkeys(keys, 0.0)
-        used = 0
-        for p0, levels in events:
+        # An unscorable event keeps 0.0 in its slots.  A fold never holds
+        # -0.0 (it starts at +0.0), so adding +0.0 leaves it unchanged,
+        # exactly like skipping the event.
+        terms = [0.0] * width
+        scorable = False
+        for p0, top, first in distinct:
             comps = []
             weight = 1.0
-            for key, ph in reversed(levels):
-                v = lam[key]
-                comps.append((key, weight * v * ph))
+            for k, ph in top:
+                v = lam[k]
+                comps.append(weight * v * ph)
                 weight *= 1.0 - v
-            comps.append((None, weight * p0))
-            total = math.fsum(c for _, c in comps)
+            comps.append(weight * p0)
+            total = math.fsum(comps)
             if total <= 0.0:
                 continue
-            used += 1
-            ll += math.log(total)
+            scorable = True
+            terms[first] = math.log(total)
             above = 0.0
-            for key, c in comps:
+            slot = first
+            for c in comps[:-1]:
                 g = c / total
-                if key is not None:
-                    stop[key] += g
-                    reach[key] += 1.0 - above
+                terms[slot + 1] = g
+                terms[slot + 2] = 1.0 - above
                 above += g
-        if used == 0:
+                slot += 2
+        if not scorable:
             raise ConditioningError("no scorable heldout events")
+        ll, *mass = [reduce(add, fold(terms)) for fold in folds]
         history.append(ll)
-        for key in keys:
-            if reach[key] > 0.0:
-                lam[key] = min(max(stop[key] / reach[key], 0.0), LAMBDA_CAP)
+        for k in range(len(lam)):
+            stop, reach = mass[2 * k], mass[2 * k + 1]
+            if reach > 0.0:
+                lam[k] = min(max(stop / reach, 0.0), LAMBDA_CAP)
         if prev is not None and ll - prev < tol:
             break
         prev = ll
-    return lam, history
+    return dict(zip(index, lam)), history

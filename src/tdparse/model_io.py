@@ -21,6 +21,7 @@ from .treebank import (
     AXIOM,
     Corpus,
     NormalizationConfig,
+    TreebankError,
     augment_with_stop,
     normalize_tokens,
     speech_normalize,
@@ -110,12 +111,19 @@ def train_parser_model(
         ("conditioning", f"{cond_config.phrasal_depth},{cond_config.first_pos_depth},{cond_config.later_pos_depth}"),
         ("cond_lambda_entries", str(len(context.lambdas))),
         ("cond_em_iterations", str(len(cond_history))),
+        ("cond_em_converged", _converged(cond_history, em_tol)),
         ("cond_heldout_ll", repr(cond_history[-1]) if cond_history else "na"),
         ("ngram_lambda_entries", str(len(ngram.lambdas))),
         ("ngram_em_iterations", str(len(ngram_history))),
+        ("ngram_em_converged", _converged(ngram_history, em_tol)),
         ("ngram_heldout_ll", repr(ngram_history[-1]) if ngram_history else "na"),
     ]
     return model, report
+
+
+def _converged(history: list[float], tol: float) -> str:
+    """``yes`` when the last EM step gained less than ``tol``: the loop's stopping test."""
+    return "yes" if len(history) >= 2 and history[-1] - history[-2] < tol else "no"
 
 
 # -- text encoding helpers ------------------------------------------------------
@@ -265,6 +273,8 @@ def load_model(path: str) -> ParserModel:
                     cond_cfg = (int(parts[2]), int(parts[3]), int(parts[4]))
                 elif parts[1] == "conj":
                     conj = parts[2]
+                else:
+                    raise ModelIOError(f"{path}:{lineno}: unknown cond record {parts[1]!r}")
             elif kind == "head":
                 head_table[parts[1]] = (parts[2], tuple(parts[3:]))
             elif kind == "clam":
@@ -309,14 +319,24 @@ def load_model(path: str) -> ParserModel:
         if name not in norm_fields:
             raise ModelIOError(f"{path}: missing norm field {name!r}")
 
-    normalization = NormalizationConfig(
-        strip_punctuation=bool(int(norm_fields["strip_punctuation"])),
-        punct_labels=frozenset(punct),
-        number_token=norm_fields["number_token"],
-        vocab_cap=int(norm_fields["vocab_cap"]),
-        unk_token=norm_fields["unk_token"],
-        end_token=norm_fields["end_token"],
-    )
+    strip = {"0": False, "1": True}.get(norm_fields["strip_punctuation"])
+    if strip is None:
+        raise ModelIOError(f"{path}: norm field 'strip_punctuation' must be 0 or 1")
+    try:
+        vocab_cap = int(norm_fields["vocab_cap"])
+    except ValueError:
+        raise ModelIOError(f"{path}: norm field 'vocab_cap' must be an integer") from None
+    try:
+        normalization = NormalizationConfig(
+            strip_punctuation=strip,
+            punct_labels=frozenset(punct),
+            number_token=norm_fields["number_token"],
+            vocab_cap=vocab_cap,
+            unk_token=norm_fields["unk_token"],
+            end_token=norm_fields["end_token"],
+        )
+    except TreebankError as exc:
+        raise ModelIOError(f"{path}: {exc}") from None
     grammar = Pcfg(rule_counts, start)
     context = ContextModel(
         grammar,
@@ -328,6 +348,10 @@ def load_model(path: str) -> ParserModel:
     for level, values, rid, count in ctx_rows:
         if not (0 <= level < len(context.tables) and 0 <= rid < len(grammar.rules)):
             raise ModelIOError(f"{path}: ctx record for rule {rid} at level {level} is out of range")
+        if grammar.rules[rid].lhs != values[0]:
+            raise ModelIOError(
+                f"{path}: ctx record for rule {rid} at level {level} does not expand {values[0]}"
+            )
         context.tables[level].setdefault(values, {})[rid] = count
         context.totals[level][values] = context.totals[level].get(values, 0) + count
     level0 = {(lhs,): {rid: rule_counts[r] for r, rid, _ in exps} for lhs, exps in grammar.by_lhs.items()}

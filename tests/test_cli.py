@@ -124,6 +124,21 @@ def test_parse_rejects_model_without_ctx_tables(g1_model_path, tmp_path, capsys)
     assert "ctx counts differ" in stderr
 
 
+def test_parse_names_file_and_field_of_bad_norm_value(g1_model_path, tmp_path, capsys):
+    broken = tmp_path / "broken.model"
+    text = g1_model_path.read_text()
+    assert "norm strip_punctuation 1\n" in text
+    broken.write_text(text.replace("norm strip_punctuation 1\n", "norm strip_punctuation yes\n"))
+    rc, stdout, stderr = _run(capsys, [
+        "parse",
+        "--model", str(broken),
+        "--input", str(FIXTURES / "g1.sents"),
+    ])
+    assert rc == EXIT_ERROR
+    assert stdout == ""
+    assert stderr == f"error={broken}: norm field 'strip_punctuation' must be 0 or 1\n"
+
+
 def test_exact_parse_rejects_left_recursive_grammar(tmp_path, capsys):
     trees = tmp_path / "lr.trees"
     trees.write_text(

@@ -1,6 +1,7 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from support import factored_corpus
 from tdparse.conditioning import (
@@ -295,5 +296,93 @@ def test_em_boundary_is_capped():
 
 
 def test_em_requires_scorable_events():
-    with pytest.raises(ConditioningError, match="no scorable heldout events"):
-        tune_interpolation([(0.0, [])])
+    for events in ([], [(0.0, [])]):
+        with pytest.raises(ConditioningError, match="no scorable heldout events"):
+            tune_interpolation(events)
+
+
+def _per_event_em(events, max_iter=100, tol=1e-6):
+    """Reference EM: one E-step per heldout event, duplicates included."""
+    keys = {key for _, levels in events for key, _ in levels}
+    lam = {key: 0.5 for key in keys}
+    history = []
+    prev = None
+    for _ in range(max_iter):
+        ll = 0.0
+        stop = dict.fromkeys(keys, 0.0)
+        reach = dict.fromkeys(keys, 0.0)
+        used = 0
+        for p0, levels in events:
+            comps = []
+            weight = 1.0
+            for key, ph in reversed(levels):
+                v = lam[key]
+                comps.append((key, weight * v * ph))
+                weight *= 1.0 - v
+            comps.append((None, weight * p0))
+            total = math.fsum(c for _, c in comps)
+            if total <= 0.0:
+                continue
+            used += 1
+            ll += math.log(total)
+            above = 0.0
+            for key, c in comps:
+                g = c / total
+                if key is not None:
+                    stop[key] += g
+                    reach[key] += 1.0 - above
+                above += g
+        if used == 0:
+            raise ConditioningError("no scorable heldout events")
+        history.append(ll)
+        for key in keys:
+            if reach[key] > 0.0:
+                lam[key] = min(max(stop[key] / reach[key], 0.0), LAMBDA_CAP)
+        if prev is not None and ll - prev < tol:
+            break
+        prev = ll
+    return lam, history
+
+
+def _assert_matches_per_event_em(events, **kwargs):
+    try:
+        expected = _per_event_em(events, **kwargs)
+    except ConditioningError:
+        with pytest.raises(ConditioningError, match="no scorable heldout events"):
+            tune_interpolation(events, **kwargs)
+        return
+    lam, history = tune_interpolation(events, **kwargs)
+    # exact float equality: saved models write the weights with repr
+    assert history == expected[1]
+    assert lam == expected[0]
+
+
+def test_em_event_turning_unscorable_matches_per_event_em():
+    # The lone event is scorable at lam = 0.5; the 300 others then pull lam
+    # to 1/301, where lam * 5e-322 underflows to 0.0 and the event drops out.
+    key = (MIDDLE, 1, 1)
+    events = [(0.0, [(key, 5e-322)])] + [(1.0, [(key, 0.0)])] * 300
+    _assert_matches_per_event_em(events)
+    lam, history = tune_interpolation(events)
+    assert lam[key] == 0.0
+    assert len(history) >= 3
+
+
+_EM_KEYS = [(LEFT, 1, 1), (LEFT, 2, 1), (MIDDLE, 1, 2), (RIGHT, 3, 4)]
+# 0.0 with p0 = 0.0 makes unscorable events; 5e-322 underflows once mixed
+_estimate = st.one_of(st.sampled_from([0.0, 5e-322, 1.0]), st.floats(0.0, 1.0))
+_event = st.tuples(_estimate, st.lists(st.tuples(st.sampled_from(_EM_KEYS), _estimate), max_size=4))
+# a few distinct events, each repeated many times in a shuffled heldout order
+_events = st.lists(_event, min_size=1, max_size=6).flatmap(
+    lambda pool: st.lists(st.sampled_from(pool), max_size=120)
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    events=_events,
+    max_iter=st.integers(0, 40),
+    tol=st.sampled_from([1e-6, 1e-3, math.inf, -math.inf]),
+)
+def test_em_matches_per_event_em(events, max_iter, tol):
+    _assert_matches_per_event_em(events, max_iter=max_iter, tol=tol)

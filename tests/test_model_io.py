@@ -1,8 +1,10 @@
+import math
+
 import pytest
 
 from support import as_corpus, fixture_trees
 from tdparse.conditioning import replay
-from tdparse.grammar import left_factor_tree
+from tdparse.grammar import Rule, left_factor_tree
 from tdparse.model_io import (
     FORMAT_VERSION,
     ModelIOError,
@@ -23,6 +25,21 @@ def test_training_report_keys(g1_model):
     assert report["conditioning"] == "6,5,4"
     assert int(report["cond_em_iterations"]) >= 1
     assert float(report["cond_heldout_ll"]) <= 0.0
+    # g1's conditioning EM still gains at the 100-iteration cap; the n-gram fit stops on tol
+    assert (report["cond_em_iterations"], report["cond_em_converged"]) == ("100", "no")
+    assert int(report["ngram_em_iterations"]) < 100
+    assert report["ngram_em_converged"] == "yes"
+
+
+@pytest.mark.parametrize("max_iter, tol, converged", [(1, 1e-6, "no"), (100, math.inf, "yes")])
+def test_em_converged_follows_the_stopping_test(g1_trees, max_iter, tol, converged):
+    corpus = as_corpus(g1_trees, "train")
+    held = as_corpus(g1_trees, "heldout")
+    _, report = train_parser_model(corpus, held, em_max_iter=max_iter, em_tol=tol)
+    report = dict(report)
+    for stage in ("cond", "ngram"):
+        assert report[f"{stage}_em_iterations"] == str(min(max_iter, 2))
+        assert report[f"{stage}_em_converged"] == converged
 
 
 def test_prepare_normalizes_and_appends_end(g1_model):
@@ -197,3 +214,38 @@ def test_load_rejects_level0_ctx_count_drift(g1_model, tmp_path):
 
     with pytest.raises(ModelIOError, match="level-0 ctx counts differ"):
         load_model(_tampered(g1_model, tmp_path, edit))
+
+
+def test_load_rejects_ctx_row_of_another_lhs(g1_model, tmp_path):
+    rid = g1_model.model.grammar.rule_ids[Rule("VP-VBD,NP", (), False)]
+
+    def edit(lines):
+        assert "ctx 1 =DT =NP 0 2" in lines
+        return [f"ctx 1 =DT =NP {rid} 2" if l == "ctx 1 =DT =NP 0 2" else l for l in lines]
+
+    with pytest.raises(
+        ModelIOError, match=rf"broken\.model: ctx record for rule {rid} at level 1 does not expand DT"
+    ):
+        load_model(_tampered(g1_model, tmp_path, edit))
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("strip_punctuation", "yes", "norm field 'strip_punctuation' must be 0 or 1"),
+        ("vocab_cap", "ten", "norm field 'vocab_cap' must be an integer"),
+        ("vocab_cap", "0", "vocab_cap must be at least 1"),
+    ],
+)
+def test_load_rejects_bad_norm_value(g1_model, tmp_path, field, value, message):
+    def edit(lines):
+        return [f"norm {field} {value}" if l.startswith(f"norm {field} ") else l for l in lines]
+
+    with pytest.raises(ModelIOError, match=rf"broken\.model: {message}"):
+        load_model(_tampered(g1_model, tmp_path, edit))
+
+
+def test_load_rejects_unknown_cond_record(g1_model, tmp_path):
+    path = _tampered(g1_model, tmp_path, lambda lines: lines + ["cond mystery 1"])
+    with pytest.raises(ModelIOError, match=r"broken\.model:\d+: unknown cond record 'mystery'"):
+        load_model(path)
