@@ -32,6 +32,7 @@ on heldout derivations.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import reduce
@@ -59,12 +60,66 @@ class ConditioningError(ValueError):
 
 
 def bucket_of(count: int) -> int:
-    if count <= 0:
-        return 0
-    for i, edge in enumerate(BUCKET_EDGES):
-        if count < edge:
-            return i
-    return len(BUCKET_EDGES)
+    return bisect_right(BUCKET_EDGES, count)
+
+
+class InterpolationTable:
+    """Per-level outcome counts mixed by deleted interpolation.
+
+    A site has a base key (level 0) and the (level, key) pairs of the
+    levels above it that add a mixing step, bottom-up.  Weights are tied by
+    tie + (level, count bucket); a level whose key is unseen or whose
+    weight is 0 is skipped, so estimates stay normalized.
+    """
+
+    def __init__(self, levels: int):
+        self.tables: list[dict[tuple, dict]] = [{} for _ in range(levels)]
+        self.totals: list[dict[tuple, int]] = [{} for _ in range(levels)]
+        # tie + (level, bucket) -> weight on the level's own estimate.
+        self.lambdas: dict[tuple, float] = {}
+
+    def add(self, level: int, key: tuple, outcome, n: int = 1) -> int:
+        """Count ``n`` more of ``outcome`` after ``key``; returns its new count."""
+        counts = self.tables[level].setdefault(key, {})
+        counts[outcome] = new = counts.get(outcome, 0) + n
+        self.totals[level][key] = self.totals[level].get(key, 0) + n
+        return new
+
+    def mixing(self, tie: tuple, levels: list[tuple[int, tuple]]) -> list[tuple[float, dict, int]]:
+        """(lam, counts, total) of each level that mixes in at a site, bottom-up."""
+        out = []
+        for k, key in levels:
+            tot = self.totals[k].get(key, 0)
+            if tot:
+                lam = self.lambdas.get(tie + (k, bucket_of(tot)), 0.0)
+                if lam > 0.0:
+                    out.append((lam, self.tables[k][key], tot))
+        return out
+
+    def fit_weights(self, sites: Iterable[tuple], max_iter: int, tol: float) -> list[float]:
+        """Fit the weights by EM on heldout (tie, outcome, base key, levels) sites.
+
+        Returns the heldout log-likelihood trace (nats, one entry per
+        iteration); it is non-decreasing.  Buckets never seen in heldout
+        keep no entry and back off entirely (weight 0), as does bucket 0.
+        """
+        events = []
+        pinned: dict[tuple, float] = {}
+        for tie, outcome, base, levels in sites:
+            tot0 = self.totals[0].get(base, 0)
+            p0 = self.tables[0][base].get(outcome, 0) / tot0 if tot0 else 0.0
+            steps = []
+            for k, key in levels:
+                tot = self.totals[k].get(key, 0)
+                b = bucket_of(tot)
+                if b == 0:
+                    pinned[tie + (k, 0)] = 0.0
+                else:
+                    steps.append((tie + (k, b), self.tables[k][key].get(outcome, 0) / tot))
+            events.append((p0, steps))
+        lam, history = tune_interpolation(events, max_iter=max_iter, tol=tol)
+        self.lambdas = dict(sorted({**pinned, **lam}.items()))
+        return history
 
 
 # Head percolation: label -> (scan direction, priority labels).  The scan
@@ -265,8 +320,8 @@ def c_command_heads(spine: Optional[SpineNode], table: dict) -> Iterator[tuple[s
         node = node.parent
 
 
-class ContextModel:
-    """Count tables and interpolation weights over conditioning values."""
+class ContextModel(InterpolationTable):
+    """Count tables over conditioning-value prefixes, weights tied by path."""
 
     def __init__(
         self,
@@ -275,15 +330,11 @@ class ContextModel:
         head_table: Optional[dict] = None,
         conj_label: str = "CC",
     ):
+        super().__init__(config.max_depth + 1)
         self.grammar = grammar
         self.config = config
         self.head_table = head_table if head_table is not None else DEFAULT_HEAD_TABLE
         self.conj_label = conj_label
-        depth = config.max_depth
-        self.tables: list[dict[tuple, dict[int, int]]] = [{} for _ in range(depth + 1)]
-        self.totals: list[dict[tuple, int]] = [{} for _ in range(depth + 1)]
-        # (path, level, bucket) -> weight on the level's own estimate.
-        self.lambdas: dict[tuple[str, int, int], float] = {}
 
     # -- context extraction -------------------------------------------------
 
@@ -352,6 +403,11 @@ class ContextModel:
                             values.append(None)
         return path, tuple(values)
 
+    @staticmethod
+    def _levels(values: tuple) -> list[tuple[int, tuple]]:
+        """(level, value prefix) above the base; a NULL value adds no step."""
+        return [(k, values[: k + 1]) for k in range(1, len(values)) if values[k] is not None]
+
     # -- training ------------------------------------------------------------
 
     def train_counts(self, trees: Iterable[Tree]) -> int:
@@ -366,49 +422,25 @@ class ContextModel:
                 )
             _, values = self.extract_values(spine, rule.lhs)
             for k in range(len(values)):
-                key = tuple(values[: k + 1])
-                counts = self.tables[k].setdefault(key, {})
-                counts[rid] = counts.get(rid, 0) + 1
-                self.totals[k][key] = self.totals[k].get(key, 0) + 1
+                self.add(k, values[: k + 1], rid)
             seen += 1
         return seen
 
     def tune_mix_weights(self, heldout_trees: Iterable[Tree], max_iter: int = 100, tol: float = 1e-6) -> list[float]:
-        """Fit interpolation weights by EM on heldout derivations.
-
-        Returns the heldout log-likelihood trace (nats, one entry per
-        iteration); it is non-decreasing.  Buckets never seen in heldout
-        keep no entry and back off entirely (weight 0), as does bucket 0.
-        """
+        """Fit interpolation weights by EM on heldout derivations (see ``fit_weights``)."""
         if self.config.max_depth == 0:
             self.lambdas = {}
             return []
-        events = []
-        pinned: dict[tuple[str, int, int], float] = {}
+        return self.fit_weights(self._sites(heldout_trees), max_iter, tol)
+
+    def _sites(self, trees: Iterable[Tree]) -> Iterator[tuple]:
+        """(tie, rule id, base key, levels) of every expansion by a grammar rule."""
         rule_ids = self.grammar.rule_ids
-        for spine, rule in replay(heldout_trees):
+        for spine, rule in replay(trees):
             rid = rule_ids.get(rule)
-            if rid is None:
-                continue
-            path, values = self.extract_values(spine, rule.lhs)
-            tot0 = self.totals[0].get((values[0],), 0)
-            p0 = self.tables[0][(values[0],)].get(rid, 0) / tot0 if tot0 else 0.0
-            levels = []
-            for k in range(1, len(values)):
-                if values[k] is None:
-                    continue
-                key = tuple(values[: k + 1])
-                tot = self.totals[k].get(key, 0)
-                b = bucket_of(tot)
-                if b == 0:
-                    pinned[(path, k, 0)] = 0.0
-                    continue
-                ph = self.tables[k].get(key, {}).get(rid, 0) / tot
-                levels.append(((path, k, b), ph))
-            events.append((p0, levels))
-        lam, history = tune_interpolation(events, max_iter=max_iter, tol=tol)
-        self.lambdas = dict(sorted({**pinned, **lam}.items()))
-        return history
+            if rid is not None:
+                path, values = self.extract_values(spine, rule.lhs)
+                yield (path,), rid, values[:1], self._levels(values)
 
     # -- scoring ---------------------------------------------------------------
 
@@ -429,18 +461,7 @@ class ContextModel:
                 return math.log(c / tot0) if c else -math.inf
             return score0
         path, values = self.extract_values(spine, lhs)
-        prep = []
-        for k in range(1, len(values)):
-            if values[k] is None:
-                continue
-            key = tuple(values[: k + 1])
-            tot = self.totals[k].get(key, 0)
-            if not tot:
-                continue
-            lam = self.lambdas.get((path, k, bucket_of(tot)), 0.0)
-            if lam <= 0.0:
-                continue
-            prep.append((lam, self.tables[k][key], tot))
+        prep = self.mixing((path,), self._levels(values))
 
         def score(rid: int) -> float:
             p = counts0.get(rid, 0) / tot0

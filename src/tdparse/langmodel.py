@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
-from .conditioning import bucket_of, tune_interpolation
+from .conditioning import InterpolationTable
 from .parser import BeamParser, ParseResult, queue_mass
 from .treebank import END_TOKEN, Tree
 
@@ -111,7 +111,7 @@ def corpus_perplexity(traces: Iterable[WordProbTrace]) -> float:
     return perplexity(probs)
 
 
-class NgramModel:
+class NgramModel(InterpolationTable):
     """Interpolated n-gram model (trigram by default).
 
     Lower-order estimates back off the higher ones:
@@ -125,87 +125,51 @@ class NgramModel:
     def __init__(self, order: int = 3):
         if order < 1:
             raise LangModelError("order must be at least 1")
+        super().__init__(order)
         self.order = order
-        self.counts: list[dict[tuple, dict[str, int]]] = [{} for _ in range(order)]
-        self.totals: list[dict[tuple, int]] = [{} for _ in range(order)]
-        self.lambdas: dict[tuple[int, int], float] = {}
+
+    def _histories(self, sentences: Iterable[Sequence[str]]) -> Iterator[tuple[str, tuple[str, ...]]]:
+        """(word, padded history) for every token."""
+        for toks in sentences:
+            ctx = (START_TOKEN,) * (self.order - 1)
+            for w in toks:
+                yield w, ctx
+                ctx = (ctx + (w,))[1:]
+
+    def _levels(self, ctx: tuple[str, ...]) -> list[tuple[int, tuple[str, ...]]]:
+        """(level, key) above the unigram: the last k words of the history for level k."""
+        return [(k, ctx[len(ctx) - k :]) for k in range(1, min(self.order, len(ctx) + 1))]
 
     def train(self, sentences: Iterable[Sequence[str]]) -> None:
-        pad = self.order - 1
-        for toks in sentences:
-            ctx = (START_TOKEN,) * pad
-            for w in toks:
-                for k in range(self.order):
-                    key = ctx[pad - k :] if k else ()
-                    d = self.counts[k].setdefault(key, {})
-                    d[w] = d.get(w, 0) + 1
-                    self.totals[k][key] = self.totals[k].get(key, 0) + 1
-                if pad:
-                    ctx = ctx[1:] + (w,)
+        for w, ctx in self._histories(sentences):
+            self.add(0, (), w)
+            for k, key in self._levels(ctx):
+                self.add(k, key, w)
         if not self.totals[0]:
             raise LangModelError("no tokens to train on")
 
     @property
     def vocabulary(self) -> list[str]:
-        return sorted(self.counts[0].get((), {}))
+        return sorted(self.tables[0].get((), {}))
 
     def tune(self, heldout: Iterable[Sequence[str]], max_iter: int = 100, tol: float = 1e-6) -> list[float]:
         """Fit interpolation weights by EM on heldout sentences."""
-        pad = self.order - 1
-        uni_total = self.totals[0].get((), 0)
-        if not uni_total:
+        if not self.totals[0]:
             raise LangModelError("train before tuning")
-        events = []
-        pinned: dict[tuple[int, int], float] = {}
-        for toks in heldout:
-            ctx = (START_TOKEN,) * pad
-            for w in toks:
-                p0 = self.counts[0][()].get(w, 0) / uni_total
-                levels = []
-                for k in range(1, self.order):
-                    key = ctx[pad - k :]
-                    tot = self.totals[k].get(key, 0)
-                    b = bucket_of(tot)
-                    if b == 0:
-                        pinned[(k, 0)] = 0.0
-                        continue
-                    ph = self.counts[k].get(key, {}).get(w, 0) / tot
-                    levels.append(((k, b), ph))
-                events.append((p0, levels))
-                if pad:
-                    ctx = ctx[1:] + (w,)
-        lam, history = tune_interpolation(events, max_iter=max_iter, tol=tol)
-        self.lambdas = dict(sorted({**pinned, **lam}.items()))
-        return history
+        sites = (((), w, (), self._levels(ctx)) for w, ctx in self._histories(heldout))
+        return self.fit_weights(sites, max_iter, tol)
 
     def word_prob(self, context: Sequence[str], word: str) -> float:
         uni_total = self.totals[0].get((), 0)
         if not uni_total:
             return 0.0
-        p = self.counts[0][()].get(word, 0) / uni_total
-        ctx = tuple(context)
-        for k in range(1, self.order):
-            if len(ctx) < k:
-                break
-            key = ctx[len(ctx) - k :]
-            tot = self.totals[k].get(key, 0)
-            if not tot:
-                continue
-            lam = self.lambdas.get((k, bucket_of(tot)), 0.0)
-            if lam <= 0.0:
-                continue
-            p = lam * (self.counts[k][key].get(word, 0) / tot) + (1.0 - lam) * p
+        p = self.tables[0][()].get(word, 0) / uni_total
+        for lam, counts, tot in self.mixing((), self._levels(tuple(context))):
+            p = lam * (counts.get(word, 0) / tot) + (1.0 - lam) * p
         return p
 
     def word_probs(self, tokens: Sequence[str]) -> list[float]:
-        pad = self.order - 1
-        ctx = (START_TOKEN,) * pad
-        out = []
-        for w in tokens:
-            out.append(self.word_prob(ctx, w))
-            if pad:
-                ctx = ctx[1:] + (w,)
-        return out
+        return [self.word_prob(ctx, w) for w, ctx in self._histories([tokens])]
 
 
 def mixed_probs(

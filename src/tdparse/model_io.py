@@ -11,12 +11,12 @@ order, making the file a deterministic function of the training data.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
-from .conditioning import CondConfig, ContextModel
-from .grammar import Pcfg, Rule, induce_pcfg, left_factor_tree
-from .langmodel import NgramModel, build_unigram, sentences_from_trees
-from .lookahead import LookaheadTables
+from .conditioning import CondConfig, ConditioningError, ContextModel, InterpolationTable
+from .grammar import GrammarError, Pcfg, Rule, induce_pcfg, left_factor_tree
+from .langmodel import LangModelError, NgramModel, build_unigram, sentences_from_trees
+from .lookahead import LookaheadError, LookaheadTables
 from .treebank import (
     AXIOM,
     Corpus,
@@ -29,6 +29,12 @@ from .treebank import (
 
 FORMAT_NAME = "tdparse-model"
 FORMAT_VERSION = 1
+
+# lap record kind -> the LookaheadTables count table it fills, keyed by one
+# field (occ, eps) or by two (fw, fp, pw).
+LAP_TABLES = {"occ": "occurrences", "eps": "erased", "fw": "first_word", "fp": "first_pos", "pw": "pos_word"}
+# Counts are positive, and each count row's key appears once.
+BAD_COUNT = "count below 1 or repeated count row"
 
 
 class ModelIOError(ValueError):
@@ -138,7 +144,7 @@ def _dec(field: str) -> Optional[str]:
         return None
     if field.startswith("="):
         return field[1:]
-    raise ModelIOError(f"bad value field {field!r}")
+    raise ValueError(f"bad value field {field!r}")
 
 
 def _rule_line(rule: Rule, count: int) -> str:
@@ -147,6 +153,14 @@ def _rule_line(rule: Rule, count: int) -> str:
     if not rule.rhs:
         return f"rule {count} eps {rule.lhs}"
     return f"rule {count} bin {rule.lhs} {rule.rhs[0]} {rule.rhs[1]}"
+
+
+def _count_lines(record: str, table: InterpolationTable, enc) -> Iterator[str]:
+    """One line per count: record, level, encoded key fields, outcome, count."""
+    for level, counts in enumerate(table.tables):
+        for key in sorted(counts, key=lambda k: [enc(v) for v in k]):
+            for outcome in sorted(counts[key]):
+                yield " ".join([record, str(level), *map(enc, key), str(outcome), str(counts[key][outcome])])
 
 
 def save_model(model: ParserModel, path: str) -> None:
@@ -176,11 +190,7 @@ def save_model(model: ParserModel, path: str) -> None:
         lines.append(" ".join(["head", label, direction, *priorities]))
     for (path_name, level, bucket), lam in sorted(c.lambdas.items()):
         lines.append(f"clam {path_name} {level} {bucket} {lam!r}")
-    for level, table in enumerate(c.tables):
-        for key in sorted(table, key=lambda k: tuple(_enc(v) for v in k)):
-            for rid in sorted(table[key]):
-                fields = " ".join(_enc(v) for v in key)
-                lines.append(f"ctx {level} {fields} {rid} {table[key][rid]}")
+    lines.extend(_count_lines("ctx", c, _enc))
 
     la = model.lookahead
     lines.append(f"lap k {la.smoothing_k}")
@@ -200,12 +210,7 @@ def save_model(model: ParserModel, path: str) -> None:
 
     m = model.ngram
     lines.append(f"ngram order {m.order}")
-    for level, table in enumerate(m.counts):
-        for ctx in sorted(table):
-            for word in sorted(table[ctx]):
-                fields = " ".join(ctx)
-                sep = " " if fields else ""
-                lines.append(f"ngram count {level} {fields}{sep}{word} {table[ctx][word]}")
+    lines.extend(_count_lines("ngram count", m, str))
     for (level, bucket), lam in sorted(m.lambdas.items()):
         lines.append(f"ngram lam {level} {bucket} {lam!r}")
 
@@ -235,11 +240,11 @@ def load_model(path: str) -> ParserModel:
     conj = "CC"
     head_table: dict[str, tuple[str, tuple[str, ...]]] = {}
     clams: dict[tuple[str, int, int], float] = {}
-    ctx_rows: list[tuple[int, tuple, int, int]] = []
+    ctx_rows: list[tuple[int, int, tuple, int, int]] = []
     lap_k = 5
-    lap_rows: dict[str, list] = {"occ": [], "eps": [], "fw": [], "fp": [], "pw": []}
+    lap: dict[str, dict] = {kind: {} for kind in LAP_TABLES}
     ngram_order: Optional[int] = None
-    ngram_rows: list[tuple[int, tuple[str, ...], str, int]] = []
+    ngram_rows: list[tuple[int, int, tuple[str, ...], str, int]] = []
     nglams: dict[tuple[int, int], float] = {}
 
     for lineno, line in enumerate(lines[1:], start=2):
@@ -281,15 +286,19 @@ def load_model(path: str) -> ParserModel:
                 clams[(parts[1], int(parts[2]), int(parts[3]))] = float(parts[4])
             elif kind == "ctx":
                 level = int(parts[1])
-                values = tuple(_dec(x) for x in parts[2 : 2 + level + 1])
-                rid = int(parts[2 + level + 1])
-                count = int(parts[2 + level + 2])
-                ctx_rows.append((level, values, rid, count))
+                values = tuple(map(_dec, parts[2 : 3 + level]))
+                ctx_rows.append((lineno, level, values, int(parts[3 + level]), int(parts[4 + level])))
             elif kind == "lap":
                 if parts[1] == "k":
                     lap_k = int(parts[2])
-                elif parts[1] in lap_rows:
-                    lap_rows[parts[1]].append(parts[2:])
+                elif parts[1] in lap:
+                    table, fields = lap[parts[1]], parts[2:]
+                    if parts[1] not in ("occ", "eps"):
+                        table, fields = table.setdefault(fields[0], {}), fields[1:]
+                    n = int(fields[1])
+                    if n < 1 or fields[0] in table:
+                        raise ModelIOError(f"{path}:{lineno}: {BAD_COUNT}: {line}")
+                    table[fields[0]] = n
                 else:
                     raise ModelIOError(f"{path}:{lineno}: unknown lap record {parts[1]!r}")
             elif kind == "ngram":
@@ -297,11 +306,12 @@ def load_model(path: str) -> ParserModel:
                     ngram_order = int(parts[2])
                 elif parts[1] == "lam":
                     nglams[(int(parts[2]), int(parts[3]))] = float(parts[4])
-                else:
+                elif parts[1] == "count":
                     level = int(parts[2])
                     ctx = tuple(parts[3 : 3 + level])
-                    word = parts[3 + level]
-                    ngram_rows.append((level, ctx, word, int(parts[4 + level])))
+                    ngram_rows.append((lineno, level, ctx, parts[3 + level], int(parts[4 + level])))
+                else:
+                    raise ModelIOError(f"{path}:{lineno}: unknown ngram record {parts[1]!r}")
             else:
                 raise ModelIOError(f"{path}:{lineno}: unknown record {kind!r}")
         except (IndexError, ValueError) as exc:
@@ -326,6 +336,10 @@ def load_model(path: str) -> ParserModel:
         vocab_cap = int(norm_fields["vocab_cap"])
     except ValueError:
         raise ModelIOError(f"{path}: norm field 'vocab_cap' must be an integer") from None
+    # A trained n-gram model has counts at every level below its order.
+    top = max((row[1] for row in ngram_rows), default=-1)
+    if ngram_order > top + 1:
+        raise ModelIOError(f"{path}: ngram order {ngram_order} but no counts above level {top}")
     try:
         normalization = NormalizationConfig(
             strip_punctuation=strip,
@@ -335,50 +349,45 @@ def load_model(path: str) -> ParserModel:
             unk_token=norm_fields["unk_token"],
             end_token=norm_fields["end_token"],
         )
-    except TreebankError as exc:
+        grammar = Pcfg(rule_counts, start)
+        context = ContextModel(
+            grammar,
+            CondConfig(*cond_cfg),
+            head_table=head_table if head_table else None,
+            conj_label=conj,
+        )
+        lookahead = LookaheadTables(lap_k)
+        ngram = NgramModel(ngram_order)
+    except (TreebankError, GrammarError, ConditioningError, LookaheadError, LangModelError) as exc:
         raise ModelIOError(f"{path}: {exc}") from None
-    grammar = Pcfg(rule_counts, start)
-    context = ContextModel(
-        grammar,
-        CondConfig(*cond_cfg),
-        head_table=head_table if head_table else None,
-        conj_label=conj,
-    )
+
     context.lambdas = clams
-    for level, values, rid, count in ctx_rows:
+    for lineno, level, values, rid, count in ctx_rows:
         if not (0 <= level < len(context.tables) and 0 <= rid < len(grammar.rules)):
             raise ModelIOError(f"{path}: ctx record for rule {rid} at level {level} is out of range")
         if grammar.rules[rid].lhs != values[0]:
             raise ModelIOError(
                 f"{path}: ctx record for rule {rid} at level {level} does not expand {values[0]}"
             )
-        context.tables[level].setdefault(values, {})[rid] = count
-        context.totals[level][values] = context.totals[level].get(values, 0) + count
+        if count < 1 or context.add(level, values, rid, count) != count:
+            raise ModelIOError(f"{path}:{lineno}: {BAD_COUNT}: {lines[lineno - 1]}")
     level0 = {(lhs,): {rid: rule_counts[r] for r, rid, _ in exps} for lhs, exps in grammar.by_lhs.items()}
     if context.tables[0] != level0:
         raise ModelIOError(f"{path}: level-0 ctx counts differ from the rule counts")
 
-    lookahead = LookaheadTables(lap_k)
-    for label, n in ((r[0], int(r[1])) for r in lap_rows["occ"]):
-        lookahead.occurrences[label] = n
-    for label, n in ((r[0], int(r[1])) for r in lap_rows["eps"]):
-        lookahead.erased[label] = n
-    for label, word, n in ((r[0], r[1], int(r[2])) for r in lap_rows["fw"]):
-        lookahead.first_word.setdefault(label, {})[word] = n
-    for label, pos, n in ((r[0], r[1], int(r[2])) for r in lap_rows["fp"]):
-        lookahead.first_pos.setdefault(label, {})[pos] = n
-    for pos, word, n in ((r[0], r[1], int(r[2])) for r in lap_rows["pw"]):
-        lookahead.pos_word.setdefault(pos, {})[word] = n
-        lookahead.pos_total[pos] = lookahead.pos_total.get(pos, 0) + n
+    for kind, attr in LAP_TABLES.items():
+        setattr(lookahead, attr, lap[kind])
+    lookahead.pos_total = {pos: sum(words.values()) for pos, words in lookahead.pos_word.items()}
 
-    ngram = NgramModel(ngram_order)
-    for level, ctx, word, count in ngram_rows:
-        ngram.counts[level].setdefault(ctx, {})[word] = count
-        ngram.totals[level][ctx] = ngram.totals[level].get(ctx, 0) + count
+    for lineno, level, ctx, word, count in ngram_rows:
+        if not 0 <= level < ngram.order:
+            raise ModelIOError(f"{path}:{lineno}: ngram count level {level} is outside 0..{ngram.order - 1}")
+        if count < 1 or ngram.add(level, ctx, word, count) != count:
+            raise ModelIOError(f"{path}:{lineno}: {BAD_COUNT}: {lines[lineno - 1]}")
     ngram.lambdas = nglams
 
     uni_total = ngram.totals[0].get((), 0)
-    unigram = {w: c / uni_total for w, c in sorted(ngram.counts[0].get((), {}).items())}
+    unigram = {w: c / uni_total for w, c in sorted(ngram.tables[0].get((), {}).items())}
 
     return ParserModel(
         normalization=normalization,

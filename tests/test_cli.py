@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from support import FIXTURES
@@ -137,6 +139,42 @@ def test_parse_names_file_and_field_of_bad_norm_value(g1_model_path, tmp_path, c
     assert rc == EXIT_ERROR
     assert stdout == ""
     assert stderr == f"error={broken}: norm field 'strip_punctuation' must be 0 or 1\n"
+
+
+@pytest.mark.parametrize(
+    "line, replacement, message",
+    [
+        ("lap occ NP 5", ["lap occ NP"], r":\d+: malformed line: lap occ NP"),
+        ("lap occ NP 5", ["lap occ NP many"], r":\d+: malformed line: lap occ NP many"),
+        ("ngram order 3", ["ngram order 3", "ngram count 7 a b c d e f g w 1"], r":\d+: ngram count level 7 is outside 0\.\.2"),
+        ("ngram order 3", ["ngram order 3", "ngram count -1 5"], r":\d+: ngram count level -1 is outside 0\.\.2"),
+        ("ctx 2 =DT =NP _ 0 2", ["ctx 2 =DT =NP _ 0 2"] * 2, r":\d+: count below 1 or repeated count row: ctx 2 =DT =NP _ 0 2"),
+        ("ctx 0 =DT 0 2", ["ctx 0 =DT 0 2"] * 2, r":\d+: count below 1 or repeated count row: ctx 0 =DT 0 2"),
+        ("ngram count 1 <s> Spot 3", ["ngram count 1 <s> Spot 3"] * 2, r":\d+: count below 1 or repeated count row: ngram count 1 <s> Spot 3"),
+        ("lap pw DT the 2", ["lap pw DT the 2"] * 2, r":\d+: count below 1 or repeated count row: lap pw DT the 2"),
+        ("lap occ NP 5", ["lap occ NP 0"], r":\d+: count below 1 or repeated count row: lap occ NP 0"),
+        ("ctx 2 =DT =NP _ 0 2", ["ctx 2 =DT =NP _ 0 -2"], r":\d+: count below 1 or repeated count row: ctx 2 =DT =NP _ 0 -2"),
+        ("ngram order 3", ["ngram order 3", "ngram cnt 0 Zebra 1"], r":\d+: unknown ngram record 'cnt'"),
+        ("ngram order 3", ["ngram order 0"], r": order must be at least 1"),
+        ("lap k 5", ["lap k -1"], r": smoothing_k must be nonnegative"),
+        ("rule 2 lex DT the", ["rule 0 lex DT the"], r": rule DT -> 'the has count 0"),
+        ("cond config 6 5 4", ["cond config -1 5 4"], r": phrasal_depth must be nonnegative"),
+    ],
+)
+def test_parse_names_file_of_bad_model(g1_model_path, tmp_path, capsys, line, replacement, message):
+    lines = g1_model_path.read_text().splitlines()
+    i = lines.index(line)
+    broken = tmp_path / "broken.model"
+    broken.write_text("\n".join(lines[:i] + replacement + lines[i + 1 :]) + "\n")
+    rc, stdout, stderr = _run(capsys, [
+        "parse",
+        "--model", str(broken),
+        "--input", str(FIXTURES / "g1.sents"),
+    ])
+    assert rc == EXIT_ERROR
+    assert stdout == ""
+    assert len(stderr.splitlines()) == 1
+    assert re.fullmatch(re.escape(f"error={broken}") + message + "\n", stderr)
 
 
 def test_exact_parse_rejects_left_recursive_grammar(tmp_path, capsys):

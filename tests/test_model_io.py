@@ -1,6 +1,8 @@
 import math
+import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from support import as_corpus, fixture_trees
 from tdparse.conditioning import replay
@@ -249,3 +251,42 @@ def test_load_rejects_unknown_cond_record(g1_model, tmp_path):
     path = _tampered(g1_model, tmp_path, lambda lines: lines + ["cond mystery 1"])
     with pytest.raises(ModelIOError, match=r"broken\.model:\d+: unknown cond record 'mystery'"):
         load_model(path)
+
+
+NUMBER = re.compile(r"-?\d+(\.\d+)?(e[-+]?\d+)?")
+
+
+@pytest.fixture(scope="module")
+def g1_saved(g1_model, tmp_path_factory):
+    """Saved g1 lines, (line, field) positions of its numeric fields, and a scratch path."""
+    path = tmp_path_factory.mktemp("fuzz") / "g1.model"
+    save_model(g1_model.model, str(path))
+    lines = path.read_text().splitlines()
+    numeric = [(i, j) for i, l in enumerate(lines) for j, f in enumerate(l.split()) if NUMBER.fullmatch(f)]
+    return lines, numeric, path.with_name("mutated.model")
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_mutated_model_raises_model_io_error_or_loads(g1_saved, data):
+    lines, numeric, path = g1_saved
+    lines = list(lines)
+    op = data.draw(st.sampled_from(["delete", "duplicate", "drop last field", "replace number"]))
+    if op == "replace number":
+        i, j = data.draw(st.sampled_from(numeric))
+        parts = lines[i].split()
+        parts[j] = data.draw(st.sampled_from(["x", "-1", str(10**9)]))
+        lines[i] = " ".join(parts)
+    else:
+        i = data.draw(st.integers(0, len(lines) - 1))
+        if op == "delete":
+            del lines[i]
+        elif op == "duplicate":
+            lines.insert(i, lines[i])
+        else:
+            lines[i] = " ".join(lines[i].split()[:-1])
+    path.write_text("\n".join(lines) + "\n")
+    try:
+        load_model(str(path))
+    except ModelIOError as exc:
+        assert str(exc).startswith(f"{path}:")
