@@ -56,7 +56,6 @@ from .langmodel import (
     LangModelError,
     NgramModel,
     WordProbTrace,
-    build_unigram,
     corpus_perplexity,
     mixed_probs,
     perplexity,
@@ -92,7 +91,7 @@ __all__ = [
     "Analysis", "BeamParser", "ParseError", "ParseResult", "ParserConfig",
     "OracleConfig", "OracleError", "OracleResult", "derivation_tree",
     "enumerate_derivations",
-    "LangModelError", "NgramModel", "WordProbTrace", "build_unigram",
+    "LangModelError", "NgramModel", "WordProbTrace",
     "corpus_perplexity", "mixed_probs", "perplexity", "sentences_from_trees",
     "vocab_mass", "word_probabilities",
     "CorpusScore", "EvalError", "PairScore", "constituents", "score_corpus",

@@ -232,7 +232,7 @@ def cmd_oracle_check(args) -> int:
     grammar = induce_pcfg(factored, AXIOM)
     context = ContextModel(grammar, CondConfig(0, 0, 0))
     context.train_counts(factored)
-    lookahead = LookaheadTables.from_trees(factored)
+    lookahead = LookaheadTables.from_trees(grammar, factored)
     parser = BeamParser(grammar, context, lookahead, ParserConfig(base_beam=0.0))
     oracle_cfg = OracleConfig(max_steps=args.max_steps)
     all_ok = True

@@ -34,18 +34,6 @@ def sentences_from_trees(trees: Iterable[Tree], end_token: str = END_TOKEN) -> l
     return [list(t.yield_tokens()) + [end_token] for t in trees]
 
 
-def build_unigram(sentences: Iterable[Sequence[str]]) -> dict[str, float]:
-    counts: dict[str, int] = {}
-    total = 0
-    for toks in sentences:
-        for w in toks:
-            counts[w] = counts.get(w, 0) + 1
-            total += 1
-    if not total:
-        raise LangModelError("no tokens to estimate a unigram from")
-    return {w: c / total for w, c in sorted(counts.items())}
-
-
 @dataclass
 class WordProbTrace:
     """Per-word conditional probabilities for one sentence."""
@@ -151,6 +139,11 @@ class NgramModel(InterpolationTable):
     @property
     def vocabulary(self) -> list[str]:
         return sorted(self.tables[0].get((), {}))
+
+    def unigram(self) -> dict[str, float]:
+        """Relative word frequencies of the level-0 counts, in word order."""
+        total = self.totals[0].get((), 0)
+        return {w: c / total for w, c in sorted(self.tables[0].get((), {}).items())}
 
     def tune(self, heldout: Iterable[Sequence[str]], max_iter: int = 100, tol: float = 1e-6) -> list[float]:
         """Fit interpolation weights by EM on heldout sentences."""

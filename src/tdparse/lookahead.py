@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from typing import Iterable, Optional
 
+from .grammar import Pcfg
 from .treebank import EPSILON, Tree
 
 
@@ -33,25 +34,36 @@ class LookaheadError(ValueError):
 
 
 class LookaheadTables:
-    """First-word, first-preterminal and erasure counts per symbol."""
+    """First-word, first-preterminal and erasure counts per symbol.
 
-    def __init__(self, smoothing_k: int = 5):
+    Occurrence, erasure and preterminal-word counts are the grammar's rule
+    counts; only the first-word and first-preterminal counts need trees.
+    """
+
+    def __init__(self, grammar: Pcfg, smoothing_k: int = 5):
         if smoothing_k < 0:
             raise LookaheadError("smoothing_k must be nonnegative")
         self.smoothing_k = smoothing_k
-        self.occurrences: dict[str, int] = {}
+        self.occurrences: dict[str, int] = dict(grammar.lhs_counts)
         self.first_word: dict[str, dict[str, int]] = {}
         self.first_pos: dict[str, dict[str, int]] = {}
         self.erased: dict[str, int] = {}
         self.pos_word: dict[str, dict[str, int]] = {}
-        self.pos_total: dict[str, int] = {}
+        for rule in grammar.rules:
+            n = grammar.rule_counts[rule]
+            if rule.lexical:
+                self.pos_word.setdefault(rule.lhs, {})[rule.rhs[0]] = n
+            elif not rule.rhs:
+                self.erased[rule.lhs] = n
+        self.pos_total: dict[str, int] = {pos: sum(words.values()) for pos, words in self.pos_word.items()}
 
     @classmethod
-    def from_trees(cls, trees: Iterable[Tree], smoothing_k: int = 5) -> "LookaheadTables":
-        tables = cls(smoothing_k)
+    def from_trees(cls, grammar: Pcfg, trees: Iterable[Tree], smoothing_k: int = 5) -> "LookaheadTables":
+        """Tables for ``grammar`` with first-word counts from its training trees."""
+        tables = cls(grammar, smoothing_k)
         for t in trees:
             tables._walk(t)
-        if not tables.occurrences:
+        if not tables.first_word:
             raise LookaheadError("no constituents to collect lookahead counts from")
         return tables
 
@@ -60,23 +72,14 @@ class LookaheadTables:
         # when the yield is empty.  Epsilon leaves are not words.
         if t.is_preterminal:
             token = t.children[0].label
-            if token == EPSILON:
-                first = None
-            else:
-                first = (token, t.label)
-                words = self.pos_word.setdefault(t.label, {})
-                words[token] = words.get(token, 0) + 1
-                self.pos_total[t.label] = self.pos_total.get(t.label, 0) + 1
+            first = None if token == EPSILON else (token, t.label)
         else:
             first = None
             for child in t.children:
                 r = self._walk(child)
                 if first is None:
                     first = r
-        self.occurrences[t.label] = self.occurrences.get(t.label, 0) + 1
-        if first is None:
-            self.erased[t.label] = self.erased.get(t.label, 0) + 1
-        else:
+        if first is not None:
             word, pos = first
             fw = self.first_word.setdefault(t.label, {})
             fw[word] = fw.get(word, 0) + 1

@@ -10,12 +10,12 @@ order, making the file a deterministic function of the training data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
 from .conditioning import CondConfig, ConditioningError, ContextModel, InterpolationTable
 from .grammar import GrammarError, Pcfg, Rule, induce_pcfg, left_factor_tree
-from .langmodel import LangModelError, NgramModel, build_unigram, sentences_from_trees
+from .langmodel import LangModelError, NgramModel, sentences_from_trees
 from .lookahead import LookaheadError, LookaheadTables
 from .treebank import (
     AXIOM,
@@ -30,8 +30,9 @@ from .treebank import (
 FORMAT_NAME = "tdparse-model"
 FORMAT_VERSION = 1
 
-# lap record kind -> the LookaheadTables count table it fills, keyed by one
-# field (occ, eps) or by two (fw, fp, pw).
+# lap record kind -> its LookaheadTables count table, keyed by one field (occ,
+# eps) or by two (fw, fp, pw).  The loader installs the fw and fp rows and
+# checks the others against the tables derived from the rule counts.
 LAP_TABLES = {"occ": "occurrences", "eps": "erased", "fw": "first_word", "fp": "first_pos", "pw": "pos_word"}
 # Counts are positive, and each count row's key appears once.
 BAD_COUNT = "count below 1 or repeated count row"
@@ -49,7 +50,10 @@ class ParserModel:
     context: ContextModel
     lookahead: LookaheadTables
     ngram: NgramModel
-    unigram: dict[str, float]
+    unigram: dict[str, float] = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.unigram = self.ngram.unigram()
 
     def prepare(self, tokens: list[str]) -> list[str]:
         """Normalize an input sentence and append the end marker."""
@@ -57,14 +61,9 @@ class ParserModel:
         return toks + [self.normalization.end_token]
 
 
-def prepare_trees(corpus: Corpus, model_or_cfg, vocabulary=None) -> Corpus:
+def prepare_trees(corpus: Corpus, model: ParserModel) -> Corpus:
     """Normalize a tree corpus against an existing model's vocabulary."""
-    if isinstance(model_or_cfg, ParserModel):
-        cfg = model_or_cfg.normalization
-        vocabulary = model_or_cfg.vocabulary
-    else:
-        cfg = model_or_cfg
-    return speech_normalize(corpus, cfg, keep_tokens=vocabulary)
+    return speech_normalize(corpus, model.normalization, keep_tokens=model.vocabulary)
 
 
 def train_parser_model(
@@ -72,8 +71,6 @@ def train_parser_model(
     heldout: Corpus,
     cond_config: CondConfig = CondConfig(),
     normalization: NormalizationConfig = NormalizationConfig(),
-    head_table: Optional[dict] = None,
-    conj_label: str = "CC",
     lookahead_k: int = 5,
     ngram_order: int = 3,
     em_max_iter: int = 100,
@@ -87,15 +84,14 @@ def train_parser_model(
     factored_heldout = [left_factor_tree(augment_with_stop(t)) for t in norm_heldout.trees]
     grammar = induce_pcfg(factored, AXIOM)
 
-    context = ContextModel(grammar, cond_config, head_table=head_table, conj_label=conj_label)
+    context = ContextModel(grammar, cond_config)
     context.train_counts(factored)
     cond_history = context.tune_mix_weights(factored_heldout, max_iter=em_max_iter, tol=em_tol)
 
-    lookahead = LookaheadTables.from_trees(factored, smoothing_k=lookahead_k)
+    lookahead = LookaheadTables.from_trees(grammar, factored, smoothing_k=lookahead_k)
 
     train_sents = sentences_from_trees(norm_train.trees, normalization.end_token)
     heldout_sents = sentences_from_trees(norm_heldout.trees, normalization.end_token)
-    unigram = build_unigram(train_sents)
     ngram = NgramModel(ngram_order)
     ngram.train(train_sents)
     ngram_history = ngram.tune(heldout_sents, max_iter=em_max_iter, tol=em_tol)
@@ -107,7 +103,6 @@ def train_parser_model(
         context=context,
         lookahead=lookahead,
         ngram=ngram,
-        unigram=unigram,
     )
     report = [
         ("train_trees", str(len(norm_train.trees))),
@@ -145,6 +140,11 @@ def _dec(field: str) -> Optional[str]:
     if field.startswith("="):
         return field[1:]
     raise ValueError(f"bad value field {field!r}")
+
+
+def _expect_fields(parts: list[str], n: int) -> None:
+    if len(parts) != n:
+        raise ValueError(f"expected {n} fields, got {len(parts)}")
 
 
 def _rule_line(rule: Rule, count: int) -> str:
@@ -254,60 +254,67 @@ def load_model(path: str) -> ParserModel:
         kind = parts[0]
         try:
             if kind == "norm":
-                if parts[1] == "punct_label":
-                    punct.append(parts[2])
+                _, name, value = parts
+                if name == "punct_label":
+                    punct.append(value)
                 else:
-                    norm_fields[parts[1]] = parts[2]
+                    norm_fields[name] = value
             elif kind == "vocab":
-                vocab.append(parts[1])
+                _, token = parts
+                vocab.append(token)
             elif kind == "grammar":
-                start = parts[2]
+                _, _, start = parts
             elif kind == "rule":
-                count = int(parts[1])
-                if parts[2] == "lex":
-                    rule = Rule(parts[3], (parts[4],), True)
-                elif parts[2] == "eps":
-                    rule = Rule(parts[3], (), False)
-                elif parts[2] == "bin":
-                    rule = Rule(parts[3], (parts[4], parts[5]), False)
-                else:
+                if parts[2] not in ("eps", "lex", "bin"):
                     raise ModelIOError(f"{path}:{lineno}: unknown rule kind {parts[2]!r}")
-                rule_counts[rule] = count
+                _expect_fields(parts, {"eps": 4, "lex": 5, "bin": 6}[parts[2]])
+                rule_counts[Rule(parts[3], tuple(parts[4:]), parts[2] == "lex")] = int(parts[1])
             elif kind == "cond":
                 if parts[1] == "config":
-                    cond_cfg = (int(parts[2]), int(parts[3]), int(parts[4]))
+                    _, _, phrasal, first_pos, later_pos = parts
+                    cond_cfg = (int(phrasal), int(first_pos), int(later_pos))
                 elif parts[1] == "conj":
-                    conj = parts[2]
+                    _, _, conj = parts
                 else:
                     raise ModelIOError(f"{path}:{lineno}: unknown cond record {parts[1]!r}")
             elif kind == "head":
-                head_table[parts[1]] = (parts[2], tuple(parts[3:]))
+                _, label, direction, *priorities = parts
+                if direction not in ("left", "right"):
+                    raise ModelIOError(f"{path}:{lineno}: head direction {direction!r} is not left or right")
+                head_table[label] = (direction, tuple(priorities))
             elif kind == "clam":
-                clams[(parts[1], int(parts[2]), int(parts[3]))] = float(parts[4])
+                _, path_name, level, bucket, lam = parts
+                clams[(path_name, int(level), int(bucket))] = float(lam)
             elif kind == "ctx":
                 level = int(parts[1])
+                _expect_fields(parts, level + 5)
                 values = tuple(map(_dec, parts[2 : 3 + level]))
                 ctx_rows.append((lineno, level, values, int(parts[3 + level]), int(parts[4 + level])))
             elif kind == "lap":
                 if parts[1] == "k":
-                    lap_k = int(parts[2])
+                    _, _, k = parts
+                    lap_k = int(k)
                 elif parts[1] in lap:
                     table, fields = lap[parts[1]], parts[2:]
                     if parts[1] not in ("occ", "eps"):
                         table, fields = table.setdefault(fields[0], {}), fields[1:]
-                    n = int(fields[1])
-                    if n < 1 or fields[0] in table:
+                    key, count = fields
+                    n = int(count)
+                    if n < 1 or key in table:
                         raise ModelIOError(f"{path}:{lineno}: {BAD_COUNT}: {line}")
-                    table[fields[0]] = n
+                    table[key] = n
                 else:
                     raise ModelIOError(f"{path}:{lineno}: unknown lap record {parts[1]!r}")
             elif kind == "ngram":
                 if parts[1] == "order":
-                    ngram_order = int(parts[2])
+                    _, _, order = parts
+                    ngram_order = int(order)
                 elif parts[1] == "lam":
-                    nglams[(int(parts[2]), int(parts[3]))] = float(parts[4])
+                    _, _, level, bucket, lam = parts
+                    nglams[(int(level), int(bucket))] = float(lam)
                 elif parts[1] == "count":
                     level = int(parts[2])
+                    _expect_fields(parts, level + 5)
                     ctx = tuple(parts[3 : 3 + level])
                     ngram_rows.append((lineno, level, ctx, parts[3 + level], int(parts[4 + level])))
                 else:
@@ -356,7 +363,7 @@ def load_model(path: str) -> ParserModel:
             head_table=head_table if head_table else None,
             conj_label=conj,
         )
-        lookahead = LookaheadTables(lap_k)
+        lookahead = LookaheadTables(grammar, lap_k)
         ngram = NgramModel(ngram_order)
     except (TreebankError, GrammarError, ConditioningError, LookaheadError, LangModelError) as exc:
         raise ModelIOError(f"{path}: {exc}") from None
@@ -376,8 +383,10 @@ def load_model(path: str) -> ParserModel:
         raise ModelIOError(f"{path}: level-0 ctx counts differ from the rule counts")
 
     for kind, attr in LAP_TABLES.items():
-        setattr(lookahead, attr, lap[kind])
-    lookahead.pos_total = {pos: sum(words.values()) for pos, words in lookahead.pos_word.items()}
+        if kind in ("fw", "fp"):
+            setattr(lookahead, attr, lap[kind])
+        elif lap[kind] != getattr(lookahead, attr):
+            raise ModelIOError(f"{path}: lap {kind} counts differ from the rule counts")
 
     for lineno, level, ctx, word, count in ngram_rows:
         if not 0 <= level < ngram.order:
@@ -386,9 +395,6 @@ def load_model(path: str) -> ParserModel:
             raise ModelIOError(f"{path}:{lineno}: {BAD_COUNT}: {lines[lineno - 1]}")
     ngram.lambdas = nglams
 
-    uni_total = ngram.totals[0].get((), 0)
-    unigram = {w: c / uni_total for w, c in sorted(ngram.tables[0].get((), {}).items())}
-
     return ParserModel(
         normalization=normalization,
         vocabulary=frozenset(vocab),
@@ -396,5 +402,4 @@ def load_model(path: str) -> ParserModel:
         context=context,
         lookahead=lookahead,
         ngram=ngram,
-        unigram=unigram,
     )

@@ -90,14 +90,13 @@ def _left_recursive_symbol(grammar: Pcfg) -> Optional[str]:
 class Analysis:
     """One candidate: symbols still to expand plus the structure built."""
 
-    __slots__ = ("stack", "spine", "logp", "logf", "pos", "rules", "tree")
+    __slots__ = ("stack", "spine", "logp", "logf", "rules", "tree")
 
-    def __init__(self, stack, spine, logp, logf, pos, rules, tree=None):
+    def __init__(self, stack, spine, logp, logf, rules, tree=None):
         self.stack: tuple[str, ...] = stack        # top of stack at the end
         self.spine: Optional[SpineNode] = spine
         self.logp: float = logp
         self.logf: float = logf
-        self.pos: int = pos
         self.rules: tuple[int, ...] = rules
         self.tree: Optional[Tree] = tree
 
@@ -157,7 +156,7 @@ class BeamParser:
 
     def initial_entries(self, first_word: Optional[str]) -> list[Analysis]:
         stack = (self.grammar.start,)
-        return [Analysis(stack, None, 0.0, self._lap_log(stack, first_word), 0, ())]
+        return [Analysis(stack, None, 0.0, self._lap_log(stack, first_word), ())]
 
     def advance(
         self, entries: list[Analysis], word: str, next_word: Optional[str]
@@ -220,7 +219,7 @@ class BeamParser:
                     if not exact and goals and logf < beam_threshold(best, len(goals), base_beam):
                         continue
                     spine, done = apply_rule(a.spine, rule)
-                    goals.append(Analysis(stack, spine, logp, logf, a.pos + 1, rules, done))
+                    goals.append(Analysis(stack, spine, logp, logf, rules, done))
                     pushes += 1
                     best = max(best, logf)
                     continue
@@ -229,11 +228,11 @@ class BeamParser:
                 if not stack:
                     # An epsilon rule closed the root: complete only at the end.
                     if ending:
-                        goals.append(Analysis((), None, logp, logp, a.pos, rules, done))
+                        goals.append(Analysis((), None, logp, logp, rules, done))
                         best = max(best, logp)
                     continue
                 logf = logp + self._lap_log(stack, word)
-                heapq.heappush(heap, (-logf, next(tie), Analysis(stack, spine, logp, logf, a.pos, rules)))
+                heapq.heappush(heap, (-logf, next(tie), Analysis(stack, spine, logp, logf, rules)))
                 pushes += 1
         if ending:
             goals.sort(key=lambda c: (-c.logp, c.rules))
@@ -313,7 +312,7 @@ class BeamParser:
     def advance_mass(self, entries: list[Analysis], word: str) -> float:
         """Mass reaching the next queue if ``word`` came next."""
         rescored = [
-            Analysis(e.stack, e.spine, e.logp, e.logp + self._lap_log(e.stack, word), e.pos, e.rules)
+            Analysis(e.stack, e.spine, e.logp, e.logp + self._lap_log(e.stack, word), e.rules)
             for e in entries
         ]
         return queue_mass(self.advance(rescored, word, None)[0])

@@ -37,6 +37,21 @@ def factored_corpus(trees) -> list[Tree]:
     return [left_factor_tree(augment_with_stop(t)) for t in trees]
 
 
+def reference_unigram(sentences) -> dict[str, float]:
+    """Relative token frequencies counted from the sentences themselves.
+
+    The models derive their unigram from the n-gram's level-0 counts; this
+    is the direct count it must equal, key order included.
+    """
+    counts: dict[str, int] = {}
+    total = 0
+    for toks in sentences:
+        for w in toks:
+            counts[w] = counts.get(w, 0) + 1
+            total += 1
+    return {w: c / total for w, c in sorted(counts.items())}
+
+
 def build_parser(
     trees,
     depths: tuple[int, int, int] = (0, 0, 0),
@@ -55,7 +70,7 @@ def build_parser(
     context.train_counts(factored)
     if heldout is not None:
         context.tune_mix_weights(factored_corpus(heldout))
-    lookahead = LookaheadTables.from_trees(factored)
+    lookahead = LookaheadTables.from_trees(grammar, factored)
     config = ParserConfig(base_beam=base_beam, max_pops=max_pops)
     return BeamParser(grammar, context, lookahead, config)
 

@@ -4,6 +4,7 @@ import pytest
 
 from support import FIXTURES
 from tdparse.cli import EXIT_ERROR, EXIT_GARDEN_PATH, EXIT_OK, main
+from tdparse.model_io import save_model
 
 
 @pytest.fixture(scope="module")
@@ -159,6 +160,17 @@ def test_parse_names_file_and_field_of_bad_norm_value(g1_model_path, tmp_path, c
         ("lap k 5", ["lap k -1"], r": smoothing_k must be nonnegative"),
         ("rule 2 lex DT the", ["rule 0 lex DT the"], r": rule DT -> 'the has count 0"),
         ("cond config 6 5 4", ["cond config -1 5 4"], r": phrasal_depth must be nonnegative"),
+        ("lap occ NP 5", ["lap occ NP 5 9"], r":\d+: malformed line: lap occ NP 5 9"),
+        ("rule 2 lex DT the", ["rule 2 lex DT the x"], r":\d+: malformed line: rule 2 lex DT the x"),
+        ("vocab the", ["vocab the extra"], r":\d+: malformed line: vocab the extra"),
+        ("cond conj CC", ["cond conj CC DT"], r":\d+: malformed line: cond conj CC DT"),
+        ("norm unk_token <unk>", ["norm unk_token <unk> x"], r":\d+: malformed line: norm unk_token <unk> x"),
+        ("ctx 2 =DT =NP _ 0 2", ["ctx 2 =DT =NP _ 0 2 7"], r":\d+: malformed line: ctx 2 =DT =NP _ 0 2 7"),
+        ("ngram count 1 <s> Spot 3", ["ngram count 1 <s> Spot 3 1"], r":\d+: malformed line: ngram count 1 <s> Spot 3 1"),
+        ("head TOP left", ["head TOP rigth"], r":\d+: head direction 'rigth' is not left or right"),
+        ("lap occ NP 5", ["lap occ NP 6"], r": lap occ counts differ from the rule counts"),
+        ("lap pw DT the 2", ["lap pw DT the 3"], r": lap pw counts differ from the rule counts"),
+        ("lap eps NP-NN 3", [], r": lap eps counts differ from the rule counts"),
     ],
 )
 def test_parse_names_file_of_bad_model(g1_model_path, tmp_path, capsys, line, replacement, message):
@@ -175,6 +187,24 @@ def test_parse_names_file_of_bad_model(g1_model_path, tmp_path, capsys, line, re
     assert stdout == ""
     assert len(stderr.splitlines()) == 1
     assert re.fullmatch(re.escape(f"error={broken}") + message + "\n", stderr)
+
+
+def test_parse_rejects_desk_model_without_lap_eps_rows(desk, tmp_path, capsys):
+    saved = tmp_path / "desk.model"
+    save_model(desk.models["all"], str(saved))
+    lines = saved.read_text().splitlines()
+    kept = [l for l in lines if not l.startswith("lap eps ")]
+    assert len(lines) - len(kept) == 13
+    broken = tmp_path / "broken.model"
+    broken.write_text("\n".join(kept) + "\n")
+    rc, stdout, stderr = _run(capsys, [
+        "parse",
+        "--model", str(broken),
+        "--input", str(FIXTURES / "g1.sents"),
+    ])
+    assert rc == EXIT_ERROR
+    assert stdout == ""
+    assert stderr == f"error={broken}: lap eps counts differ from the rule counts\n"
 
 
 def test_exact_parse_rejects_left_recursive_grammar(tmp_path, capsys):

@@ -1,13 +1,13 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from support import build_parser
+from support import build_parser, reference_unigram
 from tdparse.langmodel import (
     START_TOKEN,
     LangModelError,
     NgramModel,
-    build_unigram,
     corpus_perplexity,
     mixed_probs,
     perplexity,
@@ -28,6 +28,13 @@ def g1_sents(g1_trees):
     return sentences_from_trees(g1_trees)
 
 
+@pytest.fixture(scope="module")
+def uni(g1_sents):
+    m = NgramModel()
+    m.train(g1_sents)
+    return m.unigram()
+
+
 def _sent(text):
     return text.split() + [END_TOKEN]
 
@@ -38,18 +45,32 @@ def test_sentences_from_trees(g1_trees):
     assert all(s[-1] == END_TOKEN for s in sents)
 
 
-def test_build_unigram(g1_sents):
-    uni = build_unigram(g1_sents)
+def test_unigram(g1_sents, uni):
     # 15 tokens across g1: 11 words plus 4 end markers
     assert uni["dog"] == pytest.approx(1 / 15, rel=1e-12)
     assert uni[END_TOKEN] == pytest.approx(4 / 15, rel=1e-12)
     assert math.fsum(uni.values()) == pytest.approx(1.0, abs=1e-12)
+    assert list(uni.items()) == list(reference_unigram(g1_sents).items())
     with pytest.raises(LangModelError, match="no tokens"):
-        build_unigram([])
+        NgramModel().train([])
 
 
-def test_word_probabilities_ratios(g1_parser, g1_sents):
-    uni = build_unigram(g1_sents)
+@settings(max_examples=100, deadline=None)
+@given(
+    sents=st.lists(
+        st.lists(st.sampled_from(["a", "b", "c", "dd", "B", END_TOKEN]), min_size=1, max_size=8),
+        min_size=1,
+        max_size=6,
+    ),
+    order=st.integers(1, 3),
+)
+def test_unigram_matches_sentence_counts(sents, order):
+    m = NgramModel(order)
+    m.train(sents)
+    assert list(m.unigram().items()) == list(reference_unigram(sents).items())
+
+
+def test_word_probabilities_ratios(g1_parser, uni):
     r = g1_parser.parse(_sent("the dog ran"))
     tr = word_probabilities(r, uni)
     assert tr.model_probs == pytest.approx([0.4, 0.2, 0.75, 0.75], rel=1e-12)
@@ -60,8 +81,7 @@ def test_word_probabilities_ratios(g1_parser, g1_sents):
     )
 
 
-def test_word_probabilities_garden_path(g1_parser, g1_sents):
-    uni = build_unigram(g1_sents)
+def test_word_probabilities_garden_path(g1_parser, uni):
     r = g1_parser.parse(_sent("the the"))
     tr = word_probabilities(r, uni)
     # mass survives "the" but dies on the second one: that word still had
@@ -74,8 +94,7 @@ def test_word_probabilities_garden_path(g1_parser, g1_sents):
     assert tr.final_probs[0] == pytest.approx(0.999 * 0.4 + 0.001 * uni["the"], rel=1e-12)
 
 
-def test_word_probabilities_weight_validation(g1_parser, g1_sents):
-    uni = build_unigram(g1_sents)
+def test_word_probabilities_weight_validation(g1_parser, uni):
     r = g1_parser.parse(_sent("Spot ran"))
     with pytest.raises(LangModelError, match="model_weight"):
         word_probabilities(r, uni, model_weight=0.0)
@@ -100,8 +119,7 @@ def test_perplexity_values():
         perplexity([])
 
 
-def test_corpus_perplexity_pools_words(g1_parser, g1_sents):
-    uni = build_unigram(g1_sents)
+def test_corpus_perplexity_pools_words(g1_parser, g1_sents, uni):
     traces = [word_probabilities(g1_parser.parse(s), uni) for s in g1_sents]
     pooled = [p for tr in traces for p in tr.final_probs]
     assert corpus_perplexity(traces) == pytest.approx(perplexity(pooled), rel=1e-12)
@@ -110,7 +128,7 @@ def test_corpus_perplexity_pools_words(g1_parser, g1_sents):
 def test_ngram_untuned_is_unigram(g1_sents):
     m = NgramModel(order=3)
     m.train(g1_sents)
-    uni = build_unigram(g1_sents)
+    uni = reference_unigram(g1_sents)
     for w in m.vocabulary:
         assert m.word_prob((START_TOKEN, START_TOKEN), w) == pytest.approx(uni[w], rel=1e-12)
 

@@ -1,13 +1,70 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from support import factored_corpus, random_corpus
+from support import factored_corpus, fixture_trees, random_corpus
+from tdparse.grammar import induce_pcfg
 from tdparse.lookahead import LookaheadError, LookaheadTables
-from tdparse.treebank import parse_trees
+from tdparse.treebank import AXIOM, EPSILON, parse_trees
+
+
+def tables_for(trees, smoothing_k=5):
+    factored = factored_corpus(trees)
+    return LookaheadTables.from_trees(induce_pcfg(factored, AXIOM), factored, smoothing_k)
+
+
+def walked_counts(factored):
+    """Occurrence, erasure and preterminal-word counts walked from the trees.
+
+    This is the walk the tables used to count these with; they now derive
+    them from the grammar's rule counts, which must give the same tables.
+    """
+    occurrences, erased, pos_word, pos_total = {}, {}, {}, {}
+
+    def walk(t):
+        if t.is_preterminal:
+            token = t.children[0].label
+            if token == EPSILON:
+                first = None
+            else:
+                first = (token, t.label)
+                words = pos_word.setdefault(t.label, {})
+                words[token] = words.get(token, 0) + 1
+                pos_total[t.label] = pos_total.get(t.label, 0) + 1
+        else:
+            first = None
+            for child in t.children:
+                r = walk(child)
+                if first is None:
+                    first = r
+        occurrences[t.label] = occurrences.get(t.label, 0) + 1
+        if first is None:
+            erased[t.label] = erased.get(t.label, 0) + 1
+        return first
+
+    for t in factored:
+        walk(t)
+    return occurrences, erased, pos_word, pos_total
+
+
+def assert_counts_match_walk(trees):
+    t = tables_for(trees)
+    assert (t.occurrences, t.erased, t.pos_word, t.pos_total) == walked_counts(factored_corpus(trees))
 
 
 @pytest.fixture(scope="module")
 def lap(g1_trees):
-    return LookaheadTables.from_trees(factored_corpus(g1_trees))
+    return tables_for(g1_trees)
+
+
+@pytest.mark.parametrize("name", ["g1", "g2", "g3", "g4", "g5"])
+def test_derived_counts_match_tree_walk(name):
+    assert_counts_match_walk(fixture_trees(f"{name}.trees"))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 30), seed=st.integers(0, 10_000))
+def test_derived_counts_match_tree_walk_random(n, seed):
+    assert_counts_match_walk(random_corpus(n, seed))
 
 
 def test_raw_counts(lap):
@@ -36,8 +93,7 @@ def test_word_prob_mixes_direct_and_pos_backoff(lap):
 
 
 def test_word_prob_unsmoothed():
-    trees = factored_corpus(parse_trees("(S (A x) (B y))"))
-    t = LookaheadTables.from_trees(trees, smoothing_k=0)
+    t = tables_for(parse_trees("(S (A x) (B y))"), smoothing_k=0)
     assert t.word_prob("S", "x") == 1.0
     assert t.word_prob("S", "y") == 0.0
 
@@ -69,7 +125,7 @@ def test_stack_prob_whole_stack_erasure(lap):
 
 def test_probability_ranges_random_corpus():
     trees = factored_corpus(random_corpus(30, seed=5))
-    t = LookaheadTables.from_trees(trees)
+    t = LookaheadTables.from_trees(induce_pcfg(trees, AXIOM), trees)
     words = {tok for tree in trees for tok in tree.yield_tokens()}
     for sym in t.occurrences:
         assert 0.0 <= t.eps_prob(sym) <= 1.0
@@ -78,7 +134,8 @@ def test_probability_ranges_random_corpus():
 
 
 def test_constructor_validation():
+    grammar = induce_pcfg(factored_corpus(fixture_trees("g1.trees")), AXIOM)
     with pytest.raises(LookaheadError, match="nonnegative"):
-        LookaheadTables(smoothing_k=-1)
+        LookaheadTables(grammar, smoothing_k=-1)
     with pytest.raises(LookaheadError, match="no constituents"):
-        LookaheadTables.from_trees([])
+        LookaheadTables.from_trees(grammar, [])

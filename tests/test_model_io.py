@@ -4,9 +4,10 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from support import as_corpus, fixture_trees
+from support import as_corpus, fixture_trees, reference_unigram
 from tdparse.conditioning import replay
 from tdparse.grammar import Rule, left_factor_tree
+from tdparse.langmodel import sentences_from_trees
 from tdparse.model_io import (
     FORMAT_VERSION,
     ModelIOError,
@@ -60,6 +61,13 @@ def test_prepare_trees_against_model_vocabulary(g1_model):
     test = as_corpus(parse_trees("(S (NP (NN Spot)) (VP (VBD flew)))"), "test")
     out = prepare_trees(test, g1_model.model)
     assert out.trees[0].yield_tokens() == ["Spot", UNK_TOKEN]
+
+
+def test_unigram_is_the_training_unigram(g1_model, desk):
+    g1_train = as_corpus(fixture_trees("g1.trees"), "train")
+    for model, corpus in ((g1_model.model, g1_train), (desk.models["all"], desk.train)):
+        sents = sentences_from_trees(prepare_trees(corpus, model).trees)
+        assert list(model.unigram.items()) == list(reference_unigram(sents).items())
 
 
 def test_save_load_save_is_byte_identical(g1_model, tmp_path):
