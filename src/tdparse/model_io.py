@@ -36,6 +36,7 @@ FORMAT_VERSION = 1
 LAP_TABLES = {"occ": "occurrences", "eps": "erased", "fw": "first_word", "fp": "first_pos", "pw": "pos_word"}
 # Counts are positive, and each count row's key appears once.
 BAD_COUNT = "count below 1 or repeated count row"
+NORM_FIELDS = ("strip_punctuation", "number_token", "vocab_cap", "unk_token", "end_token")
 
 
 class ModelIOError(ValueError):
@@ -219,8 +220,11 @@ def save_model(model: ParserModel, path: str) -> None:
 
 
 def load_model(path: str) -> ParserModel:
-    with open(path, encoding="utf-8") as f:
-        lines = f.read().splitlines()
+    try:
+        with open(path, encoding="utf-8") as f:
+            lines = f.read().splitlines()
+    except UnicodeDecodeError as exc:
+        raise ModelIOError(f"{path}: not UTF-8 text ({exc.reason})") from None
     if not lines:
         raise ModelIOError(f"{path}: empty model file")
     head = lines[0].split()
@@ -257,13 +261,18 @@ def load_model(path: str) -> ParserModel:
                 _, name, value = parts
                 if name == "punct_label":
                     punct.append(value)
-                else:
+                elif name in NORM_FIELDS:
                     norm_fields[name] = value
+                else:
+                    raise ModelIOError(f"{path}:{lineno}: unknown norm field {name!r}")
             elif kind == "vocab":
                 _, token = parts
                 vocab.append(token)
             elif kind == "grammar":
-                _, _, start = parts
+                _, sub, value = parts
+                if sub != "start":
+                    raise ModelIOError(f"{path}:{lineno}: unknown grammar record {sub!r}")
+                start = value
             elif kind == "rule":
                 if parts[2] not in ("eps", "lex", "bin"):
                     raise ModelIOError(f"{path}:{lineno}: unknown rule kind {parts[2]!r}")
@@ -332,7 +341,7 @@ def load_model(path: str) -> ParserModel:
         raise ModelIOError(f"{path}: missing conditioning config")
     if ngram_order is None:
         raise ModelIOError(f"{path}: missing ngram section")
-    for name in ("strip_punctuation", "number_token", "vocab_cap", "unk_token", "end_token"):
+    for name in NORM_FIELDS:
         if name not in norm_fields:
             raise ModelIOError(f"{path}: missing norm field {name!r}")
 
@@ -387,6 +396,18 @@ def load_model(path: str) -> ParserModel:
             setattr(lookahead, attr, lap[kind])
         elif lap[kind] != getattr(lookahead, attr):
             raise ModelIOError(f"{path}: lap {kind} counts differ from the rule counts")
+    # Every occurrence of a symbol either erases or starts with one word and one tag.
+    for kind in ("fw", "fp"):
+        for sym in sorted(lookahead.occurrences.keys() | lap[kind].keys()):
+            got = sum(lap[kind].get(sym, {}).values())
+            want = lookahead.occurrences.get(sym, 0) - lookahead.erased.get(sym, 0)
+            if got != want:
+                # Name the symbol's first row of this kind, or its lap occ row.
+                rows = (["lap", kind, sym], ["lap", "occ", sym])
+                lineno = next(i for row in rows for i, l in enumerate(lines, 1) if l.split()[:3] == row)
+                raise ModelIOError(
+                    f"{path}:{lineno}: lap {kind} counts of {sym} sum to {got}, not {want} (lap occ less lap eps)"
+                )
 
     for lineno, level, ctx, word, count in ngram_rows:
         if not 0 <= level < ngram.order:

@@ -20,6 +20,22 @@ cutoff off and enumerates exactly; that terminates only for grammars
 without left recursion or unary cycles, so exact mode refuses a grammar
 with a cycle in its left-corner graph.
 
+While words remain, the kernel also drops every analysis whose stack
+cannot derive a string that starts with the current word (a left-corner
+reachability filter, as in Roark & Johnson 1999 and Moore 2000).  The
+test reads tables built once per grammar from the same left-corner
+closure: the preterminals each symbol's yield can start with, the
+symbols that can erase, and each word's preterminals.  It scans the
+stack from the top through erasable symbols to the first one that cannot
+erase.  The filter changes no output.  A dropped analysis could never
+yield a goal; every rule scores above zero, so what the grammar cannot
+reach the scorer cannot either; and the tie counter only grows, so the
+remaining analyses pop in the same order.  When the pop budget does not
+bind, goals, masses and beam cutoffs are those of the unfiltered search
+and only pops and pushes fall; when it binds, a queue keeps every goal
+the unfiltered search would find and may find more.  Goals are never
+filtered, so a queue's mass still counts analyses that cannot continue.
+
 The initial content of queue i, before any same-position work, is
 exactly the set of analyses that consumed the i-word prefix, so its
 probability mass is the (beam lower bound on the) prefix probability.
@@ -51,12 +67,13 @@ class ParserConfig:
     lap_floor: float = 1e-10      # clamp on the lookahead factor
 
     def __post_init__(self):
-        if self.base_beam < 0 or self.base_beam >= 1:
+        # Written so that NaN, which fails every comparison, fails the check.
+        if not 0.0 <= self.base_beam < 1.0:
             raise ParseError("base_beam must be 0 (exact) or in (0, 1)")
         if self.max_pops <= 0:
             raise ParseError("max_pops must be positive")
-        if self.lap_floor < 0:
-            raise ParseError("lap_floor must be nonnegative")
+        if not (math.isfinite(self.lap_floor) and self.lap_floor >= 0.0):
+            raise ParseError("lap_floor must be finite and nonnegative")
 
 
 def beam_threshold(best_logf: float, queue_size: int, base_beam: float) -> float:
@@ -64,8 +81,8 @@ def beam_threshold(best_logf: float, queue_size: int, base_beam: float) -> float
     return best_logf + math.log(base_beam) + 3.0 * math.log(queue_size)
 
 
-def _left_recursive_symbol(grammar: Pcfg) -> Optional[str]:
-    """The first symbol, in sorted order, that is its own left corner.
+def left_corners(grammar: Pcfg) -> tuple[dict[str, set[str]], set[str]]:
+    """Each nonterminal's left corners, and the symbols that derive the empty string.
 
     ``A -> B C`` makes B and B's left corners left corners of A, and C and
     its left corners as well when B can derive the empty string.
@@ -84,6 +101,11 @@ def _left_recursive_symbol(grammar: Pcfg) -> Optional[str]:
                 else:
                     nullable.add(rule.lhs)
         grew = sum(map(len, corners.values())) + len(nullable) > before
+    return corners, nullable
+
+
+def _left_recursive_symbol(corners: dict[str, set[str]]) -> Optional[str]:
+    """The first symbol, in sorted order, that is its own left corner."""
     return next((sym for sym in sorted(corners) if sym in corners[sym]), None)
 
 
@@ -138,14 +160,27 @@ class BeamParser:
     ):
         if context.grammar is not grammar:
             raise ParseError("context model was built for a different grammar")
+        corners, nullable = left_corners(grammar)
         if config.base_beam == 0.0:
-            symbol = _left_recursive_symbol(grammar)
+            symbol = _left_recursive_symbol(corners)
             if symbol is not None:
                 raise ParseError(f"exact mode would not terminate: {symbol!r} is its own left corner")
         self.grammar = grammar
         self.context = context
         self.lookahead = lookahead
         self.config = config
+        # Reachability tables: the preterminals each symbol's yield can
+        # start with, the symbols that can erase, and each word's tags.
+        self.nullable = frozenset(nullable)
+        self.first_pos = {
+            sym: frozenset(c for c in corners[sym] | {sym} if c in grammar.preterminals)
+            for sym in corners
+        }
+        tags: dict[str, set[str]] = {}
+        for rule in grammar.rules:
+            if rule.lexical:
+                tags.setdefault(rule.rhs[0], set()).add(rule.lhs)
+        self.word_pos = {word: frozenset(pos) for word, pos in tags.items()}
 
     # -- pieces ---------------------------------------------------------------
 
@@ -153,6 +188,19 @@ class BeamParser:
         p = self.lookahead.stack_prob(reversed(stack), word)
         p = max(p, self.config.lap_floor)
         return math.log(p) if p > 0.0 else -math.inf
+
+    def _reaches(self, stack: tuple[str, ...], tags: frozenset[str]) -> bool:
+        """Whether ``stack`` derives a string whose first word has a tag in ``tags``.
+
+        Symbols from the top down may erase; the scan stops at the first
+        one that cannot.
+        """
+        for sym in reversed(stack):
+            if not self.first_pos[sym].isdisjoint(tags):
+                return True
+            if sym not in self.nullable:
+                return False
+        return False
 
     def initial_entries(self, first_word: Optional[str]) -> list[Analysis]:
         stack = (self.grammar.start,)
@@ -182,6 +230,11 @@ class BeamParser:
         ending = word is None
         base_beam = self.config.base_beam
         exact = base_beam == 0.0
+        if not ending:
+            # An analysis that cannot reach the current word yields no goal.
+            reaches = self._reaches
+            tags = self.word_pos.get(word, frozenset())
+            entries = [e for e in entries if reaches(e.stack, tags)]
         tie = itertools.count()
         heap = [(-e.logf, next(tie), e) for e in entries]
         heapq.heapify(heap)
@@ -204,17 +257,23 @@ class BeamParser:
                     best = max(best, a.logp)
                 continue
             top = a.stack[-1]
+            rest = a.stack[:-1]
             score = self.context.scorer(a.spine, top)
             for rule, rid, _ in self.grammar.expansions(top):
-                if rule.lexical and rule.rhs[0] != word:
-                    continue
+                if rule.lexical:
+                    if rule.rhs[0] != word:
+                        continue
+                    stack = rest
+                else:
+                    stack = rest + (rule.rhs[1], rule.rhs[0]) if rule.rhs else rest
+                    if not ending and not reaches(stack, tags):
+                        continue
                 lp = score(rid)
                 if lp == -math.inf:
                     continue
                 logp = a.logp + lp
                 rules = a.rules + (rid,)
                 if rule.lexical:
-                    stack = a.stack[:-1]
                     logf = logp + self._lap_log(stack, next_word)
                     if not exact and goals and logf < beam_threshold(best, len(goals), base_beam):
                         continue
@@ -223,7 +282,6 @@ class BeamParser:
                     pushes += 1
                     best = max(best, logf)
                     continue
-                stack = a.stack[:-1] + (rule.rhs[1], rule.rhs[0]) if rule.rhs else a.stack[:-1]
                 spine, done = apply_rule(a.spine, rule)
                 if not stack:
                     # An epsilon rule closed the root: complete only at the end.

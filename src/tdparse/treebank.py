@@ -14,9 +14,10 @@ into input labels would make factored labels ambiguous.
 
 from __future__ import annotations
 
+import contextlib
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence, TextIO
 
 # Reserved protocol tokens.  All of these are configurable at the call
 # sites that care; the constants are the documented defaults.
@@ -155,8 +156,18 @@ def parse_trees(text: str, source: str = "<string>") -> list[Tree]:
     return trees
 
 
+@contextlib.contextmanager
+def open_text(path: str) -> Iterator[TextIO]:
+    """Open a UTF-8 text file; text that is not UTF-8 raises an error naming the file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        raise TreebankError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
 def read_trees(path: str) -> list[Tree]:
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         return parse_trees(fh.read(), source=path)
 
 
@@ -348,7 +359,7 @@ def read_sentences(path: str) -> list[tuple[int, list[str]]]:
     Empty lines are skipped; the caller decides whether to warn.
     """
     out = []
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             toks = line.split()
             if toks:

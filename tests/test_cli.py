@@ -171,6 +171,9 @@ def test_parse_names_file_and_field_of_bad_norm_value(g1_model_path, tmp_path, c
         ("lap occ NP 5", ["lap occ NP 6"], r": lap occ counts differ from the rule counts"),
         ("lap pw DT the 2", ["lap pw DT the 3"], r": lap pw counts differ from the rule counts"),
         ("lap eps NP-NN 3", [], r": lap eps counts differ from the rule counts"),
+        ("lap fw NP the 2", [], r":\d+: lap fw counts of NP sum to 3, not 5 \(lap occ less lap eps\)"),
+        ("norm end_token </s>", ["norm end_token </s>", "norm bogus 1"], r":\d+: unknown norm field 'bogus'"),
+        ("grammar start TOP", ["grammar foo TOP"], r":\d+: unknown grammar record 'foo'"),
     ],
 )
 def test_parse_names_file_of_bad_model(g1_model_path, tmp_path, capsys, line, replacement, message):
@@ -205,6 +208,36 @@ def test_parse_rejects_desk_model_without_lap_eps_rows(desk, tmp_path, capsys):
     assert rc == EXIT_ERROR
     assert stdout == ""
     assert stderr == f"error={broken}: lap eps counts differ from the rule counts\n"
+
+
+@pytest.mark.parametrize("flag", ["--base-beam", "--lap-floor"])
+def test_parse_rejects_nan_beam_settings(g1_model_path, capsys, flag):
+    rc, stdout, stderr = _run(capsys, [
+        "parse", "--model", str(g1_model_path), "--input", str(FIXTURES / "g1.sents"), flag, "nan",
+    ])
+    assert rc == EXIT_ERROR
+    assert stdout == ""
+    assert stderr.startswith("error=") and len(stderr.splitlines()) == 1
+    assert flag[2:].replace("-", "_") in stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["parse", "--model", "{model}", "--input", "{bad}"],
+        ["ppl", "--model", "{model}", "--input", "{bad}"],
+        ["eval", "--model", "{model}", "--gold", "{bad}"],
+        ["train", "--trees", "{bad}", "--heldout", "{bad}", "--out", "{out}"],
+    ],
+)
+def test_input_that_is_not_utf8_names_the_file(g1_model_path, tmp_path, capsys, argv):
+    bad = tmp_path / "latin1.txt"
+    bad.write_bytes(b"(S (NP (NN caf\xe9)) (VP (VBD ran)))\n")
+    argv = [a.format(bad=bad, model=g1_model_path, out=tmp_path / "m") for a in argv]
+    rc, stdout, stderr = _run(capsys, argv)
+    assert rc == EXIT_ERROR
+    assert stdout == ""
+    assert stderr == f"error={bad}: not UTF-8 text (invalid continuation byte)\n"
 
 
 def test_exact_parse_rejects_left_recursive_grammar(tmp_path, capsys):

@@ -261,6 +261,46 @@ def test_load_rejects_unknown_cond_record(g1_model, tmp_path):
         load_model(path)
 
 
+def test_load_rejects_unknown_norm_field(g1_model, tmp_path):
+    path = _tampered(g1_model, tmp_path, lambda lines: lines + ["norm bogus 1"])
+    with pytest.raises(ModelIOError, match=r"broken\.model:\d+: unknown norm field 'bogus'"):
+        load_model(path)
+
+
+def test_load_rejects_unknown_grammar_record(g1_model, tmp_path):
+    path = _tampered(
+        g1_model, tmp_path, lambda lines: ["grammar foo TOP" if l == "grammar start TOP" else l for l in lines]
+    )
+    with pytest.raises(ModelIOError, match=r"broken\.model:\d+: unknown grammar record 'foo'"):
+        load_model(path)
+
+
+@pytest.mark.parametrize(
+    "edit, named, message",
+    [
+        # the first look-ahead row of the symbol, or its lap occ row when it has none
+        (lambda ls: [l for l in ls if l != "lap fw NP the 2"], "lap fw NP Spot 3", "lap fw counts of NP sum to 3, not 5"),
+        (lambda ls: [l for l in ls if l != "lap fp VP-VBD DT 1"], "lap occ VP-VBD 4", "lap fp counts of VP-VBD sum to 0, not 1"),
+        (lambda ls: ["lap fw S the 2" if l == "lap fw S the 1" else l for l in ls], "lap fw S Spot 3", "lap fw counts of S sum to 5, not 4"),
+        (lambda ls: ls + ["lap fp ZZ DT 1"], "lap fp ZZ DT 1", "lap fp counts of ZZ sum to 1, not 0"),
+    ],
+)
+def test_load_checks_first_word_and_tag_sums(g1_model, tmp_path, edit, named, message):
+    path = _tampered(g1_model, tmp_path, edit)
+    with open(path, encoding="utf-8") as f:
+        lineno = f.read().splitlines().index(named) + 1
+    with pytest.raises(ModelIOError) as err:
+        load_model(path)
+    assert str(err.value) == f"{path}:{lineno}: {message} (lap occ less lap eps)"
+
+
+def test_load_names_file_that_is_not_utf8(tmp_path):
+    path = tmp_path / "latin1.model"
+    path.write_bytes(b"tdparse-model 1\nvocab caf\xe9\n")
+    with pytest.raises(ModelIOError, match=r"latin1\.model: not UTF-8 text"):
+        load_model(str(path))
+
+
 NUMBER = re.compile(r"-?\d+(\.\d+)?(e[-+]?\d+)?")
 
 

@@ -1,8 +1,9 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from support import build_parser, fixture_sentences, fixture_trees
+from support import build_parser, fixture_sentences, fixture_trees, random_corpus
 from tdparse.grammar import left_factor_tree, log_tree_probability, unfactor_tree
 from tdparse.oracle import derivation_tree, enumerate_derivations
 from tdparse.parser import BeamParser, ParseError, ParserConfig, beam_threshold, queue_mass
@@ -32,6 +33,10 @@ def test_config_validation():
         ParserConfig(max_pops=0)
     with pytest.raises(ParseError, match="lap_floor"):
         ParserConfig(lap_floor=-1e-3)
+    for field in ("base_beam", "lap_floor"):
+        for value in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ParseError, match=field):
+                ParserConfig(**{field: value})
     ParserConfig(base_beam=0.0)  # exact mode is legal
 
 
@@ -181,10 +186,10 @@ def _effort(parser, sents):
 @pytest.mark.parametrize(
     "gamma, max_pops, want",
     [
-        (1e-11, 10_000, (5237, 7255, 92)),
-        (1e-7, 10_000, (3392, 4879, 64)),
-        (1e-3, 10_000, (2231, 3225, 60)),
-        (1e-11, 20, (5204, 7213, 92)),  # the pop budget binds
+        (1e-11, 10_000, (4905, 5130, 92)),
+        (1e-7, 10_000, (3392, 3551, 64)),
+        (1e-3, 10_000, (2231, 2379, 60)),
+        (1e-11, 20, (4872, 5102, 92)),  # the pop budget binds
     ],
 )
 def test_search_effort_on_desk(desk, gamma, max_pops, want):
@@ -197,11 +202,11 @@ def test_search_effort_on_desk(desk, gamma, max_pops, want):
 @pytest.mark.parametrize(
     "name, want",
     [
-        ("g1", (77, 73, 4)),
-        ("g2", (164, 160, 5)),
-        ("g3", (199, 194, 9)),
-        ("g4", (104, 100, 4)),
-        ("g5", (162, 159, 6)),
+        ("g1", (60, 56, 4)),
+        ("g2", (117, 113, 5)),
+        ("g3", (138, 133, 9)),
+        ("g4", (72, 68, 4)),
+        ("g5", (124, 121, 6)),
     ],
 )
 def test_exact_search_effort(name, want):
@@ -222,3 +227,107 @@ def test_exact_mode_rejects_unary_cycle():
     with pytest.raises(ParseError, match="'X' is its own left corner"):
         build_parser(trees)
     build_parser(trees, base_beam=1e-11)
+
+
+class UnfilteredParser(BeamParser):
+    """The kernel with the reachability filter off: the reference the filter must match."""
+
+    def _reaches(self, stack, tags):
+        return True
+
+
+def _unfiltered(parser):
+    return UnfilteredParser(parser.grammar, parser.context, parser.lookahead, parser.config)
+
+
+def test_first_pos_and_nullable_on_g1(g1_parser):
+    assert g1_parser.nullable == {"NP-DT,NN", "NP-NN", "S-NP,VP", "TOP-S,STOP", "VP-VBD", "VP-VBD,NP"}
+    first = {sym: set(tags) for sym, tags in g1_parser.first_pos.items() if tags}
+    assert first == {
+        "DT": {"DT"}, "NN": {"NN"}, "VBD": {"VBD"}, "STOP": {"STOP"},
+        "NP": {"DT", "NN"}, "NP-DT": {"NN"}, "S": {"DT", "NN"}, "S-NP": {"VBD"},
+        "TOP": {"DT", "NN"}, "TOP-S": {"STOP"}, "VP": {"VBD"}, "VP-VBD": {"DT", "NN"},
+    }
+    assert {sym for sym, tags in g1_parser.first_pos.items() if not tags} == g1_parser.nullable - {"VP-VBD"}
+    assert g1_parser.word_pos["ball"] == {"NN"} and "zebra" not in g1_parser.word_pos
+
+
+def test_reachability_scans_through_erasable_symbols(g1_parser):
+    reaches = g1_parser._reaches
+    # top of stack at the end: VP-VBD,NP and S-NP,VP erase, TOP-S starts with STOP
+    stack = ("TOP-S", "S-NP,VP", "VP-VBD,NP")
+    assert reaches(stack, g1_parser.word_pos["</s>"])
+    assert not reaches(stack, g1_parser.word_pos["ran"])
+    # VP-VBD erases or starts an NP; S-NP cannot erase, so the scan stops there
+    assert reaches(("TOP-S", "S-NP", "VP-VBD"), g1_parser.word_pos["the"])
+    assert reaches(("TOP-S", "S-NP", "NP-NN"), g1_parser.word_pos["ran"])
+    assert not reaches(("TOP-S", "S-NP", "NP-NN"), g1_parser.word_pos["</s>"])
+    assert not reaches(("S-NP,VP",), g1_parser.word_pos["ran"])
+    assert not reaches((), g1_parser.word_pos["ran"])
+
+
+def _same_parse(parser, reference, words):
+    """The filtered parse equals the reference's and costs no more."""
+    got, want = parser.parse(words), reference.parse(words)
+    assert got.masses == want.masses
+    assert [(c.logp, c.rules) for c in got.completed] == [(c.logp, c.rules) for c in want.completed]
+    assert got.tree == want.tree and got.failed == want.failed
+    assert got.pops <= want.pops and got.pushes <= want.pushes
+
+
+def _queues_agree(parser, reference, words):
+    """Run both kernels on the reference's queue at each position.
+
+    The reference's goals always come first, in order, among the filtered
+    kernel's goals.  Where the reference did not use up its budget, the
+    goals are equal.  Returns whether the budget bound any queue.
+    """
+    exact = parser.config.base_beam == 0.0
+    bound = False
+    entries = reference.initial_entries(words[0])
+    for i, w in enumerate(words):
+        nxt = words[i + 1] if i + 1 < len(words) else None
+        got, pops, _ = parser.advance(entries, w, nxt)
+        want, ref_pops, _ = reference.advance(entries, w, nxt)
+        assert [g.rules for g in got[: len(want)]] == [g.rules for g in want]
+        if exact or ref_pops < reference.config.max_pops:
+            assert [(g.rules, g.logp, g.logf) for g in got] == [(g.rules, g.logp, g.logf) for g in want]
+            assert pops <= ref_pops
+        else:
+            bound = True
+        entries = want
+    return bound
+
+
+@pytest.mark.parametrize("gamma", [1e-11, 1e-3])
+def test_filter_matches_unfiltered_kernel_on_desk(desk, gamma):
+    m = desk.models["all"]
+    parser = BeamParser(m.grammar, m.context, m.lookahead, ParserConfig(base_beam=gamma))
+    reference = _unfiltered(parser)
+    for words in desk.sents:
+        _same_parse(parser, reference, words)
+        assert not _queues_agree(parser, reference, words)
+
+
+def test_filter_keeps_every_goal_when_the_budget_binds(desk):
+    m = desk.models["all"]
+    parser = BeamParser(m.grammar, m.context, m.lookahead, ParserConfig(max_pops=20))
+    reference = _unfiltered(parser)
+    assert sum(_queues_agree(parser, reference, words) for words in desk.sents) > 0
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(1, 8), seed=st.integers(0, 10_000))
+def test_filter_matches_unfiltered_kernel_on_random_grammars(n, seed):
+    trees = random_corpus(n, seed)
+    try:
+        parser = build_parser(trees)
+    except ParseError:  # left recursion: exact mode would not terminate
+        parser = build_parser(trees, base_beam=1e-11, max_pops=500)
+    reference = _unfiltered(parser)
+    # Short sentences only: exact mode enumerates every derivation.
+    sents = [t.yield_tokens() + [END_TOKEN] for t in trees if len(t.yield_tokens()) <= 5][:3]
+    sents += [s[-2::-1] + [END_TOKEN] for s in sents[:1]]    # reversed, often ungrammatical
+    for words in sents:
+        if not _queues_agree(parser, reference, words):
+            _same_parse(parser, reference, words)

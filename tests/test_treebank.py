@@ -15,6 +15,7 @@ from tdparse.treebank import (
     normalize_tokens,
     parse_trees,
     read_sentences,
+    read_trees,
     speech_normalize,
     strip_stop,
     to_bracketed,
@@ -247,3 +248,11 @@ def test_read_sentences_skips_blank_lines(tmp_path):
     p = tmp_path / "sents.txt"
     p.write_text("the dog ran\n\n  \nSpot ran\n")
     assert read_sentences(str(p)) == [(1, ["the", "dog", "ran"]), (4, ["Spot", "ran"])]
+
+
+def test_readers_name_a_file_that_is_not_utf8(tmp_path):
+    p = tmp_path / "latin1.txt"
+    p.write_bytes(b"(S (NN caf\xe9))\n")
+    for read in (read_sentences, read_trees):
+        with pytest.raises(TreebankError, match=r"latin1\.txt: not UTF-8 text"):
+            read(str(p))
