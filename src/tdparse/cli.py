@@ -28,8 +28,8 @@ from .grammar import induce_pcfg, left_factor_tree
 from .langmodel import mixed_probs, perplexity, word_probabilities
 from .lookahead import LookaheadTables
 from .model_io import load_model, prepare_trees, save_model, train_parser_model
-from .oracle import OracleConfig, enumerate_derivations
-from .parser import BeamParser, ParserConfig
+from .oracle import OracleConfig, OracleError, enumerate_derivations
+from .parser import BeamParser, ParseError, ParserConfig
 from .treebank import (
     AXIOM,
     END_TOKEN,
@@ -48,7 +48,9 @@ EXIT_GARDEN_PATH = 3
 
 def _add_beam_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--base-beam", type=float, default=1e-11,
-                   help="beam factor gamma; 0 enumerates exactly (default 1e-11)")
+                   help="beam factor gamma (default 1e-11); 0 enumerates exactly, with no "
+                        "pop budget, at a cost that can grow exponentially with sentence "
+                        "length on an ambiguous grammar")
     p.add_argument("--max-pops", type=int, default=10_000,
                    help="per-queue expansion budget (default 10000)")
     p.add_argument("--lap-floor", type=float, default=1e-10,
@@ -58,6 +60,8 @@ def _add_beam_args(p: argparse.ArgumentParser) -> None:
 
 
 def _parser_config(args) -> ParserConfig:
+    if args.max_len < 0:
+        raise ParseError("--max-len must be nonnegative (0 = no limit)")
     return ParserConfig(base_beam=args.base_beam, max_pops=args.max_pops,
                         lap_floor=args.lap_floor)
 
@@ -227,6 +231,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_oracle_check(args) -> int:
+    if not (math.isfinite(args.rel_tol) and args.rel_tol >= 0.0):
+        raise OracleError("--rel-tol must be finite and nonnegative")
     corpus = read_corpus(args.trees, "train")
     factored = [left_factor_tree(augment_with_stop(t)) for t in corpus.trees]
     grammar = induce_pcfg(factored, AXIOM)

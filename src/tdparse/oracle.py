@@ -22,7 +22,7 @@ from .grammar import Pcfg
 from .treebank import EPSILON, Tree
 
 
-class OracleError(RuntimeError):
+class OracleError(ValueError):
     pass
 
 
@@ -30,6 +30,10 @@ class OracleError(RuntimeError):
 class OracleConfig:
     max_steps: int = 2_000_000
     mass_tol: float = 1e-12
+
+    def __post_init__(self):
+        if self.max_steps < 1:
+            raise OracleError("max_steps must be positive")
 
 
 @dataclass
@@ -73,9 +77,9 @@ def enumerate_derivations(
             if frontier <= config.mass_tol:
                 break
             raise OracleError(
-                f"enumeration budget exhausted with frontier mass {frontier:.3e} "
-                f"(> {config.mass_tol:.1e}); the grammar likely recurses without "
-                "consuming input"
+                f"enumeration budget exhausted after {config.max_steps} steps with "
+                f"frontier mass {frontier:.3e} (> {config.mass_tol:.1e}); raise the "
+                "budget, unless the grammar recurses without consuming input"
             )
         stack, pos, logp, rules = pending.pop()
         if not stack:

@@ -18,7 +18,17 @@ where best and |H| are the top figure of merit and number of the goals
 so far, or when the pop budget runs out.  base_beam = 0 switches every
 cutoff off and enumerates exactly; that terminates only for grammars
 without left recursion or unary cycles, so exact mode refuses a grammar
-with a cycle in its left-corner graph.
+with a cycle in its left-corner graph.  It has no pop budget either, so
+on an ambiguous grammar its cost can grow exponentially with sentence
+length.
+
+Expanding a symbol visits its phrasal rules and at most one lexical
+rule: an index built once per grammar maps (preterminal, word) to the
+only rule that can rewrite the one as the other, so the cost of a pop
+does not grow with the vocabulary.  The lexical successor is handled
+first.  That moves no output: it only adds a goal, while mid-sentence a
+phrasal successor only feeds the heap, and at the end of input no
+lexical rule applies.
 
 While words remain, the kernel also drops every analysis whose stack
 cannot derive a string that starts with the current word (a left-corner
@@ -51,7 +61,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .conditioning import ContextModel, SpineNode, apply_rule
-from .grammar import Pcfg
+from .grammar import Pcfg, Rule
 from .lookahead import LookaheadTables
 from .treebank import Tree
 
@@ -176,10 +186,18 @@ class BeamParser:
             sym: frozenset(c for c in corners[sym] | {sym} if c in grammar.preterminals)
             for sym in corners
         }
+        # Expansion tables: each (preterminal, word) pair has at most one
+        # lexical rule, so a pop looks it up instead of scanning the POS.
+        self.lexical: dict[tuple[str, str], tuple[Rule, int]] = {}
+        phrasal: dict[str, list[tuple[Rule, int]]] = {lhs: [] for lhs in grammar.by_lhs}
         tags: dict[str, set[str]] = {}
-        for rule in grammar.rules:
+        for rid, rule in enumerate(grammar.rules):
             if rule.lexical:
+                self.lexical[rule.lhs, rule.rhs[0]] = (rule, rid)
                 tags.setdefault(rule.rhs[0], set()).add(rule.lhs)
+            else:
+                phrasal[rule.lhs].append((rule, rid))
+        self.phrasal = {lhs: tuple(rules) for lhs, rules in phrasal.items()}
         self.word_pos = {word: frozenset(pos) for word, pos in tags.items()}
 
     # -- pieces ---------------------------------------------------------------
@@ -259,29 +277,29 @@ class BeamParser:
             top = a.stack[-1]
             rest = a.stack[:-1]
             score = self.context.scorer(a.spine, top)
-            for rule, rid, _ in self.grammar.expansions(top):
-                if rule.lexical:
-                    if rule.rhs[0] != word:
-                        continue
-                    stack = rest
-                else:
-                    stack = rest + (rule.rhs[1], rule.rhs[0]) if rule.rhs else rest
-                    if not ending and not reaches(stack, tags):
-                        continue
+            # The lexical successor only adds a goal, and a phrasal one
+            # mid-sentence only feeds the heap, so it may go first.
+            lexical = None if ending else self.lexical.get((top, word))
+            if lexical is not None:
+                rule, rid = lexical
+                lp = score(rid)
+                if lp != -math.inf:
+                    logp = a.logp + lp
+                    logf = logp + self._lap_log(rest, next_word)
+                    if exact or not goals or logf >= beam_threshold(best, len(goals), base_beam):
+                        spine, done = apply_rule(a.spine, rule)
+                        goals.append(Analysis(rest, spine, logp, logf, a.rules + (rid,), done))
+                        pushes += 1
+                        best = max(best, logf)
+            for rule, rid in self.phrasal[top]:
+                stack = rest + (rule.rhs[1], rule.rhs[0]) if rule.rhs else rest
+                if not ending and not reaches(stack, tags):
+                    continue
                 lp = score(rid)
                 if lp == -math.inf:
                     continue
                 logp = a.logp + lp
                 rules = a.rules + (rid,)
-                if rule.lexical:
-                    logf = logp + self._lap_log(stack, next_word)
-                    if not exact and goals and logf < beam_threshold(best, len(goals), base_beam):
-                        continue
-                    spine, done = apply_rule(a.spine, rule)
-                    goals.append(Analysis(stack, spine, logp, logf, rules, done))
-                    pushes += 1
-                    best = max(best, logf)
-                    continue
                 spine, done = apply_rule(a.spine, rule)
                 if not stack:
                     # An epsilon rule closed the root: complete only at the end.

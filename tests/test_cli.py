@@ -337,3 +337,43 @@ def test_oracle_check(name, capsys):
     assert lines[-1] == "summary=ok"
     assert all("ok=yes" in l for l in lines[:-1])
     assert all("derivations=match" in l for l in lines[:-1])
+
+
+def _error_only(rc, stdout, stderr, match):
+    """Exit 1 with one ``error=`` line and no report."""
+    assert rc == EXIT_ERROR
+    assert stdout == ""
+    assert len(stderr.splitlines()) == 1 and stderr.startswith("error=")
+    assert re.search(match, stderr)
+
+
+@pytest.mark.parametrize("steps, match", [("3", "budget exhausted"), ("0", "max_steps must be positive")])
+def test_oracle_check_budget_is_an_error(steps, match, capsys):
+    rc, stdout, stderr = _run(capsys, [
+        "oracle-check",
+        "--trees", str(FIXTURES / "g1.trees"),
+        "--sentences", str(FIXTURES / "g1.sents"),
+        "--max-steps", steps,
+    ])
+    _error_only(rc, stdout, stderr, match)
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+def test_oracle_check_rejects_bad_rel_tol(tol, capsys):
+    rc, stdout, stderr = _run(capsys, [
+        "oracle-check",
+        "--trees", str(FIXTURES / "g1.trees"),
+        "--sentences", str(FIXTURES / "g1.sents"),
+        "--rel-tol", tol,
+    ])
+    _error_only(rc, stdout, stderr, "--rel-tol must be finite and nonnegative")
+
+
+@pytest.mark.parametrize("argv", [
+    ["parse", "--input", str(FIXTURES / "g1.sents")],
+    ["ppl", "--input", str(FIXTURES / "g1.sents")],
+    ["eval", "--gold", str(FIXTURES / "g1.trees")],
+])
+def test_negative_max_len_is_rejected(argv, g1_model_path, capsys):
+    rc, stdout, stderr = _run(capsys, argv + ["--model", str(g1_model_path), "--max-len", "-1"])
+    _error_only(rc, stdout, stderr, "--max-len must be nonnegative")

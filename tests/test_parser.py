@@ -1,3 +1,6 @@
+import dataclasses
+import heapq
+import itertools
 import math
 
 import pytest
@@ -6,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 from support import build_parser, fixture_sentences, fixture_trees, random_corpus
 from tdparse.grammar import left_factor_tree, log_tree_probability, unfactor_tree
 from tdparse.oracle import derivation_tree, enumerate_derivations
-from tdparse.parser import BeamParser, ParseError, ParserConfig, beam_threshold, queue_mass
+from tdparse.conditioning import apply_rule
+from tdparse.parser import Analysis, BeamParser, ParseError, ParserConfig, beam_threshold, queue_mass
 from tdparse.treebank import END_TOKEN, augment_with_stop, parse_trees
 
 
@@ -236,8 +240,9 @@ class UnfilteredParser(BeamParser):
         return True
 
 
-def _unfiltered(parser):
-    return UnfilteredParser(parser.grammar, parser.context, parser.lookahead, parser.config)
+def _rebuild(cls, parser, **config):
+    """A ``cls`` parser on ``parser``'s model, with some config fields replaced."""
+    return cls(parser.grammar, parser.context, parser.lookahead, dataclasses.replace(parser.config, **config))
 
 
 def test_first_pos_and_nullable_on_g1(g1_parser):
@@ -303,7 +308,7 @@ def _queues_agree(parser, reference, words):
 def test_filter_matches_unfiltered_kernel_on_desk(desk, gamma):
     m = desk.models["all"]
     parser = BeamParser(m.grammar, m.context, m.lookahead, ParserConfig(base_beam=gamma))
-    reference = _unfiltered(parser)
+    reference = _rebuild(UnfilteredParser, parser)
     for words in desk.sents:
         _same_parse(parser, reference, words)
         assert not _queues_agree(parser, reference, words)
@@ -312,7 +317,7 @@ def test_filter_matches_unfiltered_kernel_on_desk(desk, gamma):
 def test_filter_keeps_every_goal_when_the_budget_binds(desk):
     m = desk.models["all"]
     parser = BeamParser(m.grammar, m.context, m.lookahead, ParserConfig(max_pops=20))
-    reference = _unfiltered(parser)
+    reference = _rebuild(UnfilteredParser, parser)
     assert sum(_queues_agree(parser, reference, words) for words in desk.sents) > 0
 
 
@@ -324,10 +329,160 @@ def test_filter_matches_unfiltered_kernel_on_random_grammars(n, seed):
         parser = build_parser(trees)
     except ParseError:  # left recursion: exact mode would not terminate
         parser = build_parser(trees, base_beam=1e-11, max_pops=500)
-    reference = _unfiltered(parser)
+    reference = _rebuild(UnfilteredParser, parser)
     # Short sentences only: exact mode enumerates every derivation.
     sents = [t.yield_tokens() + [END_TOKEN] for t in trees if len(t.yield_tokens()) <= 5][:3]
     sents += [s[-2::-1] + [END_TOKEN] for s in sents[:1]]    # reversed, often ungrammatical
     for words in sents:
         if not _queues_agree(parser, reference, words):
             _same_parse(parser, reference, words)
+
+
+class ScanningParser(BeamParser):
+    """The kernel before the lexical index: the reference the index must match.
+
+    Each pop walks every expansion of the popped symbol in rule order and
+    skips the lexical rules whose word does not match.
+    """
+
+    def _expand(self, entries, word, next_word):
+        ending = word is None
+        base_beam = self.config.base_beam
+        exact = base_beam == 0.0
+        if not ending:
+            reaches = self._reaches
+            tags = self.word_pos.get(word, frozenset())
+            entries = [e for e in entries if reaches(e.stack, tags)]
+        tie = itertools.count()
+        heap = [(-e.logf, next(tie), e) for e in entries]
+        heapq.heapify(heap)
+        goals = []
+        best = -math.inf
+        pops = pushes = 0
+        while heap:
+            if not exact:
+                if goals and -heap[0][0] < beam_threshold(best, len(goals), base_beam):
+                    break
+                if pops >= self.config.max_pops:
+                    break
+            a = heapq.heappop(heap)[2]
+            pops += 1
+            if not a.stack:
+                if ending and a.tree is not None:
+                    goals.append(a)
+                    best = max(best, a.logp)
+                continue
+            top = a.stack[-1]
+            rest = a.stack[:-1]
+            score = self.context.scorer(a.spine, top)
+            for rule, rid, _ in self.grammar.expansions(top):
+                if rule.lexical:
+                    if rule.rhs[0] != word:
+                        continue
+                    stack = rest
+                else:
+                    stack = rest + (rule.rhs[1], rule.rhs[0]) if rule.rhs else rest
+                    if not ending and not reaches(stack, tags):
+                        continue
+                lp = score(rid)
+                if lp == -math.inf:
+                    continue
+                logp = a.logp + lp
+                rules = a.rules + (rid,)
+                if rule.lexical:
+                    logf = logp + self._lap_log(stack, next_word)
+                    if not exact and goals and logf < beam_threshold(best, len(goals), base_beam):
+                        continue
+                    spine, done = apply_rule(a.spine, rule)
+                    goals.append(Analysis(stack, spine, logp, logf, rules, done))
+                    pushes += 1
+                    best = max(best, logf)
+                    continue
+                spine, done = apply_rule(a.spine, rule)
+                if not stack:
+                    if ending:
+                        goals.append(Analysis((), None, logp, logp, rules, done))
+                        best = max(best, logp)
+                    continue
+                logf = logp + self._lap_log(stack, word)
+                heapq.heappush(heap, (-logf, next(tie), Analysis(stack, spine, logp, logf, rules)))
+                pushes += 1
+        if ending:
+            goals.sort(key=lambda c: (-c.logp, c.rules))
+        return goals, pops, pushes
+
+
+def _same_search(parser, reference, words):
+    """The indexed parse equals the scanning one, search effort included."""
+    got, want = parser.parse(words), reference.parse(words)
+    assert got.masses == want.masses
+    assert [(c.logp, c.rules) for c in got.completed] == [(c.logp, c.rules) for c in want.completed]
+    assert got.tree == want.tree and got.failed == want.failed
+    assert (got.pops, got.pushes) == (want.pops, want.pushes)
+
+
+@pytest.mark.parametrize("gamma, max_pops", [(1e-11, 10_000), (1e-3, 10_000), (1e-11, 20)])
+def test_lexical_index_matches_scanning_kernel_on_desk(desk, gamma, max_pops):
+    m = desk.models["all"]
+    parser = BeamParser(m.grammar, m.context, m.lookahead, ParserConfig(base_beam=gamma, max_pops=max_pops))
+    reference = _rebuild(ScanningParser, parser)
+    for words in desk.sents:
+        _same_search(parser, reference, words)
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(1, 8), seed=st.integers(0, 10_000))
+def test_lexical_index_matches_scanning_kernel_on_random_grammars(n, seed):
+    trees = random_corpus(n, seed)
+    try:
+        parser = build_parser(trees)
+    except ParseError:  # left recursion: exact mode would not terminate
+        parser = build_parser(trees, base_beam=1e-11, max_pops=500)
+    # Short sentences only: exact mode enumerates every derivation.
+    sents = [t.yield_tokens() + [END_TOKEN] for t in trees if len(t.yield_tokens()) <= 5][:3]
+    sents += [s[-2::-1] + [END_TOKEN] for s in sents[:1]]    # reversed, often ungrammatical
+    for config in ({}, {"base_beam": 1e-3, "max_pops": 20}):
+        indexed = _rebuild(BeamParser, parser, **config)
+        reference = _rebuild(ScanningParser, parser, **config)
+        for words in sents:
+            _same_search(indexed, reference, words)
+
+
+# X is a preterminal (X -> a, X -> b) and a phrase (X -> Y X-Y) at once, so
+# a pop of X mid-sentence yields a goal and heap entries from one scorer.
+MIXED_TREES = """
+(S (X a) (Z b))
+(S (X (Y a)) (Z b))
+(S (X (Y a) (X b)) (Z b))
+(S (Z b) (X (Y b)))
+"""
+
+
+@pytest.mark.parametrize("gamma", [0.0, 1e-3, 0.5])
+def test_lexical_index_matches_scanning_kernel_on_mixed_symbol(gamma):
+    parser = build_parser(parse_trees(MIXED_TREES), base_beam=gamma)
+    assert ("X", "a") in parser.lexical and parser.phrasal["X"]
+    reference = _rebuild(ScanningParser, parser)
+    for text in ("a b", "a b b", "b b", "b a", "a a b", "a", "b a b a"):
+        _same_search(parser, reference, _sent(text))
+    # Both routes for X reach a complete parse of "a b".
+    routes = {c.tree for c in parser.parse(_sent("a b")).completed}
+    assert {t.children[0].children[0] for t in routes} == {
+        parse_trees("(X a)")[0], parse_trees("(X (Y a))")[0]
+    }
+
+
+def test_lexical_index_and_phrasal_rules_partition_expansions(desk):
+    m = desk.models["all"]
+    for parser in (BeamParser(m.grammar, m.context, m.lookahead), build_parser(parse_trees(MIXED_TREES))):
+        grammar = parser.grammar
+        assert set(parser.phrasal) == set(grammar.by_lhs)
+        lexical = {lhs: [] for lhs in grammar.by_lhs}
+        for (pos, word), (rule, rid) in parser.lexical.items():
+            assert rule == grammar.rules[rid] == (pos, (word,), True)
+            lexical[pos].append((rule, rid))
+        for lhs, expansions in grammar.by_lhs.items():
+            phrasal = parser.phrasal[lhs]
+            assert list(phrasal) == [(r, rid) for r, rid, _ in expansions if not r.lexical]
+            # Together, and with no rule twice, they are every expansion.
+            assert sorted(phrasal + tuple(lexical[lhs]), key=lambda e: e[1]) == [(r, rid) for r, rid, _ in expansions]
