@@ -54,7 +54,7 @@ def _add_beam_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-pops", type=int, default=10_000,
                    help="per-queue expansion budget (default 10000)")
     p.add_argument("--lap-floor", type=float, default=1e-10,
-                   help="floor on the lookahead factor (default 1e-10)")
+                   help="floor on the lookahead factor, in [0, 1] (default 1e-10)")
     p.add_argument("--max-len", type=int, default=0,
                    help="skip sentences longer than this many words (0 = no limit)")
 

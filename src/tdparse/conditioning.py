@@ -411,20 +411,27 @@ class ContextModel(InterpolationTable):
     # -- training ------------------------------------------------------------
 
     def train_counts(self, trees: Iterable[Tree]) -> int:
-        """Accumulate prefix-closed count tables from factored trees."""
+        """Accumulate prefix-closed count tables from factored trees.
+
+        Expansions repeat heavily, so each distinct (values, rule id) event
+        is tallied first and its prefixes are added once, with its count:
+        the same integers as adding every expansion, and ``save_model``
+        writes the tables sorted.  Returns the number of expansions.
+        """
         rule_ids = self.grammar.rule_ids
-        seen = 0
+        tally: dict[tuple, int] = {}
         for spine, rule in replay(trees):
             rid = rule_ids.get(rule)
             if rid is None:
                 raise ConditioningError(
                     f"rule {rule.render()} is not in the grammar"
                 )
-            _, values = self.extract_values(spine, rule.lhs)
+            event = (self.extract_values(spine, rule.lhs)[1], rid)
+            tally[event] = tally.get(event, 0) + 1
+        for (values, rid), n in tally.items():
             for k in range(len(values)):
-                self.add(k, values[: k + 1], rid)
-            seen += 1
-        return seen
+                self.add(k, values[: k + 1], rid, n)
+        return sum(tally.values())
 
     def tune_mix_weights(self, heldout_trees: Iterable[Tree], max_iter: int = 100, tol: float = 1e-6) -> list[float]:
         """Fit interpolation weights by EM on heldout derivations (see ``fit_weights``)."""

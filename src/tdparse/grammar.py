@@ -63,11 +63,12 @@ class Rule(NamedTuple):
 
 
 def _check_children(t: Tree) -> None:
-    if any(c.is_leaf for c in t.children):
-        raise GrammarError(
-            f"node {t.label!r} mixes bare tokens with constituents; "
-            "every terminal must sit under its own preterminal"
-        )
+    for c in t.children:
+        if not c.children:
+            raise GrammarError(
+                f"node {t.label!r} mixes bare tokens with constituents; "
+                "every terminal must sit under its own preterminal"
+            )
 
 
 def left_factor_tree(t: Tree) -> Tree:
@@ -77,7 +78,10 @@ def left_factor_tree(t: Tree) -> Tree:
     if t.is_preterminal:
         return t
     _check_children(t)
-    kids = [left_factor_tree(c) for c in t.children]
+    # A loop, not a comprehension, so each tree level costs one frame.
+    kids = []
+    for c in t.children:
+        kids.append(left_factor_tree(c))
     labels = [c.label for c in t.children]
     # Build the chain inside out: the deepest tail erases to epsilon.
     node = Tree(make_factored(t.label, labels), (Tree(EPSILON),))
@@ -122,20 +126,26 @@ def unfactor_tree(t: Tree) -> Tree:
 
 
 def tree_to_derivation(t: Tree) -> Iterator[Rule]:
-    """Rules of a tree in leftmost-derivation (preorder) order."""
+    """Rules of a tree in leftmost-derivation (preorder) order.
+
+    Walks an explicit stack, so tree depth costs no Python frames.
+    """
     if t.is_leaf:
         raise GrammarError("a bare token has no derivation")
-    if len(t.children) == 1 and t.children[0].is_leaf:
-        tok = t.children[0].label
-        if tok == EPSILON:
-            yield Rule(t.label, (), False)
-        else:
-            yield Rule(t.label, (tok,), True)
-        return
-    _check_children(t)
-    yield Rule(t.label, tuple(c.label for c in t.children), False)
-    for child in t.children:
-        yield from tree_to_derivation(child)
+    stack = [t]
+    while stack:
+        node = stack.pop()
+        kids = node.children
+        if len(kids) == 1 and not kids[0].children:
+            tok = kids[0].label
+            if tok == EPSILON:
+                yield Rule(node.label, (), False)
+            else:
+                yield Rule(node.label, (tok,), True)
+            continue
+        _check_children(node)
+        yield Rule(node.label, tuple([c.label for c in kids]), False)
+        stack.extend(reversed(kids))
 
 
 class Pcfg:

@@ -15,6 +15,7 @@ weights) serves both as a baseline and as a mixture partner.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -129,10 +130,11 @@ class NgramModel(InterpolationTable):
         return [(k, ctx[len(ctx) - k :]) for k in range(1, min(self.order, len(ctx) + 1))]
 
     def train(self, sentences: Iterable[Sequence[str]]) -> None:
-        for w, ctx in self._histories(sentences):
-            self.add(0, (), w)
+        """Count every token; each distinct (word, history) is added once, with its count."""
+        for (w, ctx), n in Counter(self._histories(sentences)).items():
+            self.add(0, (), w, n)
             for k, key in self._levels(ctx):
-                self.add(k, key, w)
+                self.add(k, key, w, n)
         if not self.totals[0]:
             raise LangModelError("no tokens to train on")
 

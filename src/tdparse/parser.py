@@ -82,8 +82,9 @@ class ParserConfig:
             raise ParseError("base_beam must be 0 (exact) or in (0, 1)")
         if self.max_pops <= 0:
             raise ParseError("max_pops must be positive")
-        if not (math.isfinite(self.lap_floor) and self.lap_floor >= 0.0):
-            raise ParseError("lap_floor must be finite and nonnegative")
+        # A floor above 1 would lift every look-ahead factor to the same value.
+        if not 0.0 <= self.lap_floor <= 1.0:
+            raise ParseError("lap_floor must be in [0, 1]")
 
 
 def beam_threshold(best_logf: float, queue_size: int, base_beam: float) -> float:

@@ -15,6 +15,7 @@ into input labels would make factored labels ambiguous.
 from __future__ import annotations
 
 import contextlib
+import operator
 import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence, TextIO
@@ -31,6 +32,11 @@ EPSILON = "<eps>"
 FACTOR_SEP = "-"
 CHILD_SEP = ","
 RESERVED_LABEL_CHARS = (FACTOR_SEP, CHILD_SEP)
+
+# Deepest left-factored tree a tree file may hold, in nonterminals from the
+# root to a preterminal.  Tree code recurses over tree depth; a tree at the
+# limit trains and evaluates inside Python's default limit of 1,000 frames.
+MAX_FACTORED_DEPTH = 500
 
 DEFAULT_PUNCT_LABELS = frozenset({".", ",", ":", "``", "''", "-LRB-", "-RRB-"})
 
@@ -66,14 +72,16 @@ class Tree:
 
     @property
     def is_preterminal(self) -> bool:
-        return len(self.children) == 1 and self.children[0].is_leaf
+        return len(self.children) == 1 and not self.children[0].children
 
     def leaves(self) -> Iterator["Tree"]:
-        if not self.children:
-            yield self
-        else:
-            for child in self.children:
-                yield from child.leaves()
+        stack = [self]
+        while stack:
+            t = stack.pop()
+            if t.children:
+                stack.extend(reversed(t.children))
+            else:
+                yield t
 
     def yield_tokens(self) -> list[str]:
         return [leaf.label for leaf in self.leaves()]
@@ -102,53 +110,66 @@ def to_bracketed(t: Tree) -> str:
     return f"({t.label} {inner})"
 
 
-def _tokenize(text: str) -> Iterator[tuple[str, int]]:
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        for tok in re.findall(r"\(|\)|[^\s()]+", line):
-            yield tok, lineno
+_TOKEN_RE = re.compile(r"\(|\)|[^\s()]+")
 
 
 def parse_trees(text: str, source: str = "<string>") -> list[Tree]:
-    """Parse all trees in ``text``.  Errors carry source and line number."""
+    """Parse all trees in ``text``.  Errors carry source and line number.
+
+    A tree whose left-factored form (see grammar.py) would nest more than
+    MAX_FACTORED_DEPTH nonterminals deep is an error.
+    """
 
     def fail(lineno: int, msg: str):
         raise TreebankError(f"{source}:{lineno}: {msg}")
 
     trees: list[Tree] = []
-    stack: list[tuple[Optional[str], list[Tree], int]] = []
+    # Open nodes: [label, children, line of the '(', factored depth so far].
+    stack: list[list] = []
     expect_label = False
-    last_line = 1
-    for tok, lineno in _tokenize(text):
-        last_line = lineno
-        if tok == "(":
-            if expect_label:
-                fail(lineno, "expected node label after '('")
-            stack.append((None, [], lineno))
-            expect_label = True
-        elif tok == ")":
-            if expect_label:
-                fail(lineno, "node has no label")
-            if not stack:
-                fail(lineno, "unbalanced ')'")
-            label, children, open_line = stack.pop()
-            if not children:
-                fail(lineno, f"empty node ({label})")
-            node = Tree(label, children)
-            if stack:
-                stack[-1][1].append(node)
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        for tok in _TOKEN_RE.findall(line):
+            if tok == "(":
+                if expect_label:
+                    fail(lineno, "expected node label after '('")
+                stack.append([None, [], lineno, 0])
+                expect_label = True
+            elif tok == ")":
+                if expect_label:
+                    fail(lineno, "node has no label")
+                if not stack:
+                    fail(lineno, "unbalanced ')'")
+                label, children, _, depth = stack.pop()
+                if not children:
+                    fail(lineno, f"empty node ({label})")
+                # Left factoring hangs child j (from 0) j + 1 levels below the
+                # node.  Tokens add no depth, so a preterminal is 1 deep.
+                depth = depth or 1
+                if depth > MAX_FACTORED_DEPTH:
+                    fail(
+                        lineno,
+                        f"tree nests more than {MAX_FACTORED_DEPTH} levels deep once left-factored",
+                    )
+                node = Tree(label, children)
+                if stack:
+                    parent = stack[-1]
+                    siblings = parent[1]
+                    depth += len(siblings) + 1
+                    if depth > parent[3]:
+                        parent[3] = depth
+                    siblings.append(node)
+                else:
+                    trees.append(node)
+            elif expect_label:
+                for ch in RESERVED_LABEL_CHARS:
+                    if ch in tok:
+                        fail(lineno, f"label {tok!r} contains reserved character {ch!r}")
+                stack[-1][0] = tok
+                expect_label = False
             else:
-                trees.append(node)
-        elif expect_label:
-            for ch in RESERVED_LABEL_CHARS:
-                if ch in tok:
-                    fail(lineno, f"label {tok!r} contains reserved character {ch!r}")
-            label, children, open_line = stack.pop()
-            stack.append((tok, children, open_line))
-            expect_label = False
-        else:
-            if not stack:
-                fail(lineno, f"token {tok!r} outside any tree")
-            stack[-1][1].append(Tree(tok))
+                if not stack:
+                    fail(lineno, f"token {tok!r} outside any tree")
+                stack[-1][1].append(Tree(tok))
     if stack:
         raise TreebankError(
             f"{source}:{stack[-1][2]}: unbalanced '(' still open at end of input"
@@ -262,25 +283,33 @@ def is_number_token(tok: str) -> bool:
 
 
 def _strip_punct(t: Tree, punct_labels: frozenset[str]) -> Optional[Tree]:
+    """``t`` without punctuation preterminals; ``t`` itself when none is under it."""
     if t.is_preterminal:
         return None if t.label in punct_labels else t
     kept = []
     for child in t.children:
-        if child.is_leaf:
-            kept.append(child)
-            continue
-        sub = _strip_punct(child, punct_labels)
+        sub = child if child.is_leaf else _strip_punct(child, punct_labels)
         if sub is not None:
             kept.append(sub)
     if not kept:
         return None
+    if len(kept) == len(t.children) and all(map(operator.is_, kept, t.children)):
+        return t
     return Tree(t.label, kept)
 
 
 def _map_leaves(t: Tree, fn) -> Tree:
+    """``t`` with every token mapped by ``fn``; ``t`` itself when no token changes."""
     if t.is_leaf:
-        return Tree(fn(t.label))
-    return Tree(t.label, tuple(_map_leaves(c, fn) for c in t.children))
+        tok = fn(t.label)
+        return t if tok == t.label else Tree(tok)
+    # A loop, not a comprehension, so each tree level costs one frame.
+    kids = []
+    for c in t.children:
+        kids.append(_map_leaves(c, fn))
+    if all(map(operator.is_, kids, t.children)):
+        return t
+    return Tree(t.label, kids)
 
 
 def speech_normalize(
@@ -294,8 +323,10 @@ def speech_normalize(
     go with them), digit tokens fold to ``cfg.number_token``, and tokens
     outside the ``cfg.vocab_cap`` most frequent become ``cfg.unk_token``.
     Pass ``keep_tokens`` (a training vocabulary) when normalizing heldout
-    or test corpora so the closure matches training.  Idempotent: reserved
-    tokens are always kept, so a second pass is the identity.
+    or test corpora so the closure matches training.  Subtrees nothing
+    changes under are shared with the input, not copied.  Idempotent:
+    reserved tokens are always kept, so a second pass returns the very
+    trees it was given.
     """
     trees = []
     for idx, t in enumerate(corpus.trees):
@@ -316,13 +347,12 @@ def speech_normalize(
             (tok for tok in counts if tok not in reserved),
             key=lambda tok: (-counts[tok], tok),
         )
-        kept = frozenset(ranked[: cfg.vocab_cap]) | reserved
-    else:
-        kept = frozenset(keep_tokens) | reserved
+        keep_tokens = frozenset(ranked[: cfg.vocab_cap])
 
-    trees = [
-        _map_leaves(t, lambda tok: tok if tok in kept else cfg.unk_token) for t in trees
-    ]
+    def closed(tok: str) -> str:
+        return tok if tok in keep_tokens or tok in reserved else cfg.unk_token
+
+    trees = [_map_leaves(t, closed) for t in trees]
     vocab = {tok for t in trees for tok in t.yield_tokens()}
     vocab.update({cfg.end_token, cfg.unk_token})
     return Corpus(tuple(trees), frozenset(vocab), corpus.role)

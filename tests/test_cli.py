@@ -1,10 +1,12 @@
 import re
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from support import FIXTURES
 from tdparse.cli import EXIT_ERROR, EXIT_GARDEN_PATH, EXIT_OK, main
 from tdparse.model_io import save_model
+from tdparse.treebank import MAX_FACTORED_DEPTH
 
 
 @pytest.fixture(scope="module")
@@ -377,3 +379,92 @@ def test_oracle_check_rejects_bad_rel_tol(tol, capsys):
 def test_negative_max_len_is_rejected(argv, g1_model_path, capsys):
     rc, stdout, stderr = _run(capsys, argv + ["--model", str(g1_model_path), "--max-len", "-1"])
     _error_only(rc, stdout, stderr, "--max-len must be nonnegative")
+
+
+def test_lap_floor_above_one_is_refused(g1_model_path, capsys):
+    argv = ["ppl", "--model", str(g1_model_path), "--input", str(FIXTURES / "g1.sents")]
+    rc, stdout, stderr = _run(capsys, argv + ["--lap-floor", "5"])
+    _error_only(rc, stdout, stderr, r"lap_floor must be in \[0, 1\]")
+    rc, _, stderr = _run(capsys, argv + ["--lap-floor", "1"])
+    assert rc == EXIT_OK and stderr == ""
+
+
+def _nested_tree(depth: int, shape: str) -> str:
+    """A tree whose left-factored form nests ``depth`` nonterminals deep."""
+    if shape == "deep":
+        return "(S " * (depth - 1) + "(NN x)" + ")" * (depth - 1)
+    return "(S " + " ".join(["(NN x)"] * (depth - 1)) + ")"
+
+
+@pytest.mark.parametrize("shape", ["deep", "wide"])
+def test_tree_at_the_depth_limit_trains_and_evaluates(tmp_path, capsys, shape):
+    trees = tmp_path / "limit.trees"
+    trees.write_text(_nested_tree(MAX_FACTORED_DEPTH, shape) + "\n")
+    model = tmp_path / "limit.model"
+    rc, _, stderr = _run(capsys, ["train", "--trees", str(trees), "--heldout", str(trees), "--out", str(model)])
+    assert (rc, stderr) == (EXIT_OK, "")
+    rc, stdout, stderr = _run(capsys, ["eval", "--model", str(model), "--gold", str(trees), "--max-pops", "200"])
+    assert (rc, stderr) == (EXIT_OK, "")
+    assert "sentences=1" in stdout.splitlines()
+
+
+@pytest.mark.parametrize("shape", ["deep", "wide"])
+def test_tree_past_the_depth_limit_is_one_error(g1_model_path, tmp_path, capsys, shape):
+    trees = tmp_path / "over.trees"
+    trees.write_text((FIXTURES / "g1.trees").read_text() + _nested_tree(MAX_FACTORED_DEPTH + 1, shape) + "\n")
+    expected = f"error={trees}:5: tree nests more than {MAX_FACTORED_DEPTH} levels deep once left-factored\n"
+    for argv in (
+        ["train", "--trees", str(trees), "--heldout", str(FIXTURES / "g1.trees"), "--out", str(tmp_path / "m")],
+        ["eval", "--model", str(g1_model_path), "--gold", str(trees)],
+    ):
+        rc, stdout, stderr = _run(capsys, argv)
+        assert (rc, stdout, stderr) == (EXIT_ERROR, "", expected)
+
+
+def _mutated_tree_file(draw, tmp_path) -> str:
+    """g1 trees with lines deleted or duplicated, brackets dropped, or deep or wide trees added."""
+    lines = (FIXTURES / "g1.trees").read_text().splitlines()
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(["delete", "duplicate", "drop_bracket", "deep", "wide"]))
+        if kind in ("delete", "duplicate", "drop_bracket") and not lines:
+            continue
+        if kind == "delete":
+            del lines[draw(st.integers(0, len(lines) - 1))]
+        elif kind == "duplicate":
+            lines.append(lines[draw(st.integers(0, len(lines) - 1))])
+        elif kind == "drop_bracket":
+            i = draw(st.integers(0, len(lines) - 1))
+            spots = [j for j, ch in enumerate(lines[i]) if ch in "()"]
+            j = draw(st.sampled_from(spots))
+            lines[i] = lines[i][:j] + lines[i][j + 1 :]
+        else:
+            depth = draw(st.sampled_from([2, 3, MAX_FACTORED_DEPTH - 1, MAX_FACTORED_DEPTH, MAX_FACTORED_DEPTH + 1]))
+            lines.append(_nested_tree(depth, kind))
+    path = tmp_path / f"fuzz{draw(st.integers(0, 10**9))}.trees"
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+_CONDITIONING = ["all", "none", "par+sib", "bogus", "2,2,2", "0,0,0", "9,9,9", "-1,0,0", "1,2", "a,b,c"]
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_train_fuzz_ends_in_a_model_or_one_error(tmp_path, capsys, data):
+    trees = _mutated_tree_file(data.draw, tmp_path)
+    heldout = data.draw(st.sampled_from([trees, str(FIXTURES / "g1.trees")]))
+    argv = ["train", "--trees", trees, "--heldout", heldout, "--out", str(tmp_path / "fuzz.model")]
+    for flag, values in (
+        ("--vocab-cap", st.integers(-1, 8)),
+        ("--lookahead-k", st.integers(-1, 6)),
+        ("--ngram-order", st.integers(-1, 4)),
+        ("--conditioning", st.sampled_from(_CONDITIONING)),
+    ):
+        if data.draw(st.booleans()):
+            argv.append(f"{flag}={data.draw(values)}")
+    rc, stdout, stderr = _run(capsys, argv)
+    assert rc in (EXIT_OK, EXIT_ERROR)
+    if rc == EXIT_OK:
+        assert stderr == "" and stdout.endswith(f"model={tmp_path / 'fuzz.model'}\n")
+    else:
+        _error_only(rc, stdout, stderr, "")

@@ -3,7 +3,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from support import factored_corpus
+from support import factored_corpus, fixture_trees, random_corpus
 from tdparse.conditioning import (
     DEFAULT_HEAD_TABLE,
     LAMBDA_CAP,
@@ -386,3 +386,48 @@ _events = st.lists(_event, min_size=1, max_size=6).flatmap(
 )
 def test_em_matches_per_event_em(events, max_iter, tol):
     _assert_matches_per_event_em(events, max_iter=max_iter, tol=tol)
+
+
+def _per_expansion_counts(model, trees):
+    """Reference counting: every prefix of every expansion, one add at a time."""
+    rule_ids = model.grammar.rule_ids
+    seen = 0
+    for spine, rule in replay(trees):
+        rid = rule_ids.get(rule)
+        if rid is None:
+            raise ConditioningError(f"rule {rule.render()} is not in the grammar")
+        _, values = model.extract_values(spine, rule.lhs)
+        for k in range(len(values)):
+            model.add(k, values[: k + 1], rid)
+        seen += 1
+    return seen
+
+
+_COUNT_DEPTHS = [(6, 5, 4), (2, 2, 2), (0, 0, 0)]
+
+
+def _assert_counts_match_per_expansion(trees):
+    fact = factored_corpus(trees)
+    grammar = induce_pcfg(fact, AXIOM)
+    for depths in _COUNT_DEPTHS:
+        tallied = ContextModel(grammar, CondConfig(*depths))
+        reference = ContextModel(grammar, CondConfig(*depths))
+        assert tallied.train_counts(fact) == _per_expansion_counts(reference, fact)
+        assert tallied.tables == reference.tables
+        assert tallied.totals == reference.totals
+
+
+@pytest.mark.parametrize("name", ["g1", "g2", "g3", "g4", "g5"])
+def test_train_counts_match_per_expansion_on_fixtures(name):
+    _assert_counts_match_per_expansion(fixture_trees(f"{name}.trees"))
+
+
+def test_train_counts_match_per_expansion_on_desk(desk):
+    _assert_counts_match_per_expansion(desk.train.trees)
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(1, 12), seed=st.integers(0, 10_000))
+def test_train_counts_match_per_expansion_on_random_trees(n, seed):
+    _assert_counts_match_per_expansion(random_corpus(n, seed))
+

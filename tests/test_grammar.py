@@ -3,6 +3,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from support import factored_corpus, random_corpus
 from tdparse.grammar import (
@@ -218,3 +219,73 @@ def test_induce_requires_axiom_root(g1_trees):
         induce_pcfg(g1_trees, AXIOM)
     with pytest.raises(GrammarError, match="empty corpus"):
         induce_pcfg([], AXIOM)
+
+
+def _recursive_derivation(t):
+    """Reference derivation: the recursive generator the explicit stack replaced."""
+    if t.is_leaf:
+        raise GrammarError("a bare token has no derivation")
+    if len(t.children) == 1 and t.children[0].is_leaf:
+        tok = t.children[0].label
+        if tok == EPSILON:
+            yield Rule(t.label, (), False)
+        else:
+            yield Rule(t.label, (tok,), True)
+        return
+    if any(c.is_leaf for c in t.children):
+        raise GrammarError(
+            f"node {t.label!r} mixes bare tokens with constituents; "
+            "every terminal must sit under its own preterminal"
+        )
+    yield Rule(t.label, tuple(c.label for c in t.children), False)
+    for child in t.children:
+        yield from _recursive_derivation(child)
+
+
+def _rules_then_error(derivation):
+    """The rules a derivation yields, and the message of the error that ends it."""
+    rules = []
+    try:
+        for rule in derivation:
+            rules.append(rule)
+    except GrammarError as exc:
+        return rules, str(exc)
+    return rules, None
+
+
+def _assert_derivation_matches_recursive(t):
+    assert _rules_then_error(tree_to_derivation(t)) == _rules_then_error(_recursive_derivation(t))
+
+
+def test_derivation_matches_recursive_on_factored_random_trees():
+    for t in factored_corpus(random_corpus(60, seed=3)):
+        rules, error = _rules_then_error(tree_to_derivation(t))
+        assert error is None and rules
+        _assert_derivation_matches_recursive(t)
+
+
+def test_derivation_stops_at_bare_token_child_like_recursive():
+    t = parse_trees("(S (NP (DT the) (NN dog)) (VP (VBD ran) away) (NP (NN x)))")[0]
+    rules, error = _rules_then_error(tree_to_derivation(t))
+    assert [r.render() for r in rules] == [
+        "S -> NP VP NP",
+        "NP -> DT NN",
+        "DT -> 'the",
+        "NN -> 'dog",
+    ]
+    assert error.startswith("node 'VP' mixes bare tokens")
+    _assert_derivation_matches_recursive(t)
+    _assert_derivation_matches_recursive(Tree("x"))
+
+
+_any_tree = st.recursive(
+    st.builds(Tree, st.sampled_from(["a", "b", EPSILON])),
+    lambda kids: st.builds(Tree, st.sampled_from(["S", "NP", "A"]), st.lists(kids, min_size=1, max_size=4)),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(t=_any_tree)
+def test_derivation_matches_recursive_on_any_tree(t):
+    _assert_derivation_matches_recursive(t)

@@ -3,7 +3,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from support import build_parser, reference_unigram
+from support import build_parser, fixture_trees, random_corpus, reference_unigram
 from tdparse.langmodel import (
     START_TOKEN,
     LangModelError,
@@ -207,3 +207,36 @@ def test_vocab_mass_under_pruning(g1_trees):
     for prefix in ([], ["Spot"], ["the"]):
         total = math.fsum(vocab_mass(pruned, prefix, vocab).values())
         assert 0.0 < total <= 1.0 + 1e-6
+
+
+def _per_token_train(model, sentences):
+    """Reference n-gram counting: one add per level of every token."""
+    for w, ctx in model._histories(sentences):
+        model.add(0, (), w)
+        for k, key in model._levels(ctx):
+            model.add(k, key, w)
+
+
+def _assert_ngram_counts_match_per_token(trees):
+    sents = sentences_from_trees(trees)
+    for order in (1, 2, 3):
+        tallied, reference = NgramModel(order), NgramModel(order)
+        tallied.train(sents)
+        _per_token_train(reference, sents)
+        assert tallied.tables == reference.tables
+        assert tallied.totals == reference.totals
+
+
+@pytest.mark.parametrize("name", ["g1", "g2", "g3", "g4", "g5"])
+def test_ngram_counts_match_per_token_on_fixtures(name):
+    _assert_ngram_counts_match_per_token(fixture_trees(f"{name}.trees"))
+
+
+def test_ngram_counts_match_per_token_on_desk(desk):
+    _assert_ngram_counts_match_per_token(desk.train.trees)
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(1, 12), seed=st.integers(0, 10_000))
+def test_ngram_counts_match_per_token_on_random_trees(n, seed):
+    _assert_ngram_counts_match_per_token(random_corpus(n, seed))

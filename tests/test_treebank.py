@@ -1,7 +1,11 @@
+from unittest import mock
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from support import as_corpus, fixture_trees, random_corpus
+from tdparse.grammar import left_factor_tree
+from tdparse import treebank
 from tdparse.treebank import (
     AXIOM,
     END_TOKEN,
@@ -256,3 +260,116 @@ def test_readers_name_a_file_that_is_not_utf8(tmp_path):
     for read in (read_sentences, read_trees):
         with pytest.raises(TreebankError, match=r"latin1\.txt: not UTF-8 text"):
             read(str(p))
+
+
+def _rebuilding_strip_punct(t, punct_labels):
+    """Reference: punctuation stripping that copies every node it keeps."""
+    if t.is_preterminal:
+        return None if t.label in punct_labels else t
+    kept = []
+    for child in t.children:
+        if child.is_leaf:
+            kept.append(child)
+            continue
+        sub = _rebuilding_strip_punct(child, punct_labels)
+        if sub is not None:
+            kept.append(sub)
+    if not kept:
+        return None
+    return Tree(t.label, kept)
+
+
+def _rebuilding_map_leaves(t, fn):
+    """Reference: leaf mapping that copies every node."""
+    if t.is_leaf:
+        return Tree(fn(t.label))
+    return Tree(t.label, tuple(_rebuilding_map_leaves(c, fn) for c in t.children))
+
+
+def _normalized(corpus, cfg, keep_tokens=None):
+    """(trees, vocabulary), or the message of the error normalization raised."""
+    try:
+        out = speech_normalize(corpus, cfg, keep_tokens=keep_tokens)
+    except TreebankError as exc:
+        return str(exc)
+    return out.trees, out.vocabulary
+
+
+def _assert_normalize_matches_rebuilding(trees, cfg):
+    corpus = as_corpus(trees, "train")
+    shared = _normalized(corpus, cfg)
+    with mock.patch.object(treebank, "_strip_punct", _rebuilding_strip_punct), \
+            mock.patch.object(treebank, "_map_leaves", _rebuilding_map_leaves):
+        rebuilt = _normalized(corpus, cfg)
+        rebuilt_kept = _normalized(corpus, cfg, keep_tokens=frozenset({"a", "42"}))
+    assert shared == rebuilt
+    assert _normalized(corpus, cfg, keep_tokens=frozenset({"a", "42"})) == rebuilt_kept
+    if isinstance(shared, str):
+        return
+    once = speech_normalize(corpus, cfg)
+    for keep in (None, once.vocabulary):
+        again = speech_normalize(once, cfg, keep_tokens=keep)
+        assert all(a is b for a, b in zip(again.trees, once.trees, strict=True))
+
+
+_noisy_tree = st.recursive(
+    st.builds(
+        lambda label, tok: Tree(label, (Tree(tok),)),
+        st.sampled_from(["NN", "CD", ".", ","]),
+        st.sampled_from(["a", "b", "c", "42", "3.5", "N", "<unk>", "."]),
+    ),
+    lambda kids: st.builds(Tree, st.sampled_from(["S", "NP", "PRN"]), st.lists(kids, min_size=1, max_size=4)),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    trees=st.lists(_noisy_tree, min_size=1, max_size=5),
+    strip=st.booleans(),
+    cap=st.integers(1, 4),
+)
+def test_normalize_matches_rebuilding_on_noisy_trees(trees, strip, cap):
+    cfg = NormalizationConfig(strip_punctuation=strip, vocab_cap=cap)
+    _assert_normalize_matches_rebuilding(trees, cfg)
+
+
+@pytest.mark.parametrize("name", ["g1", "g2", "g3", "g4", "g5"])
+def test_normalize_matches_rebuilding_on_fixtures(name):
+    _assert_normalize_matches_rebuilding(fixture_trees(f"{name}.trees"), NormalizationConfig())
+
+
+def test_normalize_matches_rebuilding_on_desk(desk):
+    for cap in (10_000, 20):
+        _assert_normalize_matches_rebuilding(list(desk.train.trees), NormalizationConfig(vocab_cap=cap))
+
+
+def test_normalize_shares_unchanged_subtrees():
+    (t,) = parse_trees("(S (NP (DT the) (NN dog)) (VP (VBD ran) (NP (CD 42))) (. .))")
+    (out,) = speech_normalize(as_corpus([t], "train"), NormalizationConfig()).trees
+    assert to_bracketed(out) == "(S (NP (DT the) (NN dog)) (VP (VBD ran) (NP (CD N))))"
+    assert out.children[0] is t.children[0]
+    assert out.children[1].children[0] is t.children[1].children[0]
+
+
+def _nonterminal_depth(t):
+    return 0 if t.is_leaf else 1 + max(_nonterminal_depth(c) for c in t.children)
+
+
+_factorable_tree = st.recursive(
+    st.builds(lambda tok: Tree("A", (Tree(tok),)), st.sampled_from(["x", "y"])),
+    lambda kids: st.builds(Tree, st.sampled_from(["S", "NP"]), st.lists(kids, min_size=1, max_size=5)),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(t=_factorable_tree, limit=st.integers(1, 12))
+def test_reader_depth_limit_is_the_left_factored_depth(t, limit):
+    depth = _nonterminal_depth(left_factor_tree(t))
+    with mock.patch.object(treebank, "MAX_FACTORED_DEPTH", limit):
+        if depth <= limit:
+            assert parse_trees(to_bracketed(t)) == [t]
+        else:
+            with pytest.raises(TreebankError, match=f"more than {limit} levels deep"):
+                parse_trees(to_bracketed(t), source="t.trees")
