@@ -66,8 +66,15 @@ def _parser_config(args) -> ParserConfig:
                         lap_floor=args.lap_floor)
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports a rejected flag as an error, like any other bad input; --help still exits 0."""
+
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
+
+
 def _build_argparser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="tdparse")
+    ap = _ArgumentParser(prog="tdparse")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("train", help="train a model from treebank files")
@@ -268,7 +275,6 @@ def cmd_oracle_check(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = _build_argparser().parse_args(argv)
     handlers = {
         "train": cmd_train,
         "parse": cmd_parse,
@@ -277,6 +283,7 @@ def main(argv=None) -> int:
         "oracle-check": cmd_oracle_check,
     }
     try:
+        args = _build_argparser().parse_args(argv)
         return handlers[args.command](args)
     except (ValueError, OSError) as exc:
         print(f"error={exc}", file=sys.stderr)

@@ -7,9 +7,9 @@ holding the completed subtrees to its left.  The spine is immutable and
 shared between candidate analyses, so extending one analysis never
 disturbs another.
 
-From the spine we read off a fixed schedule of conditioning values for
-the expansion of a left-hand side A.  Which schedule applies depends on
-where A sits:
+From the spine we read off one fixed schedule of conditioning values for
+the expansion of a left-hand side A, and cut it after the configured
+depth of its path.  Which schedule applies depends on where A sits:
 
 * left path (A is not a preterminal), up to 7 values:
   A, parent, closest left sibling, grandparent, parent's closest left
@@ -36,6 +36,7 @@ from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import reduce
+from itertools import islice
 from operator import add, itemgetter
 from typing import Callable, Iterable, Iterator, Optional
 
@@ -85,16 +86,32 @@ class InterpolationTable:
         self.totals[level][key] = self.totals[level].get(key, 0) + n
         return new
 
-    def mixing(self, tie: tuple, levels: list[tuple[int, tuple]]) -> list[tuple[float, dict, int]]:
-        """(lam, counts, total) of each level that mixes in at a site, bottom-up."""
-        out = []
+    def estimator(self, tie: tuple, base: tuple, levels: list[tuple[int, tuple]]) -> Callable[[object], float]:
+        """The interpolated probability of each outcome at one site.
+
+        Starts from the base relative frequency and mixes in each level
+        bottom-up: p = lam * f(outcome | key) + (1 - lam) * p.  An unseen
+        base gives every outcome probability 0.
+        """
+        tot0 = self.totals[0].get(base, 0)
+        if not tot0:
+            return lambda outcome: 0.0
+        counts0 = self.tables[0][base]
+        steps = []
         for k, key in levels:
             tot = self.totals[k].get(key, 0)
             if tot:
                 lam = self.lambdas.get(tie + (k, bucket_of(tot)), 0.0)
                 if lam > 0.0:
-                    out.append((lam, self.tables[k][key], tot))
-        return out
+                    steps.append((lam, self.tables[k][key], tot))
+
+        def prob(outcome) -> float:
+            p = counts0.get(outcome, 0) / tot0
+            for lam, counts, tot in steps:
+                p = lam * (counts.get(outcome, 0) / tot) + (1.0 - lam) * p
+            return p
+
+        return prob
 
     def fit_weights(self, sites: Iterable[tuple], max_iter: int, tol: float) -> list[float]:
         """Fit the weights by EM on heldout (tie, outcome, base key, levels) sites.
@@ -341,12 +358,11 @@ class ContextModel(InterpolationTable):
     def extract_values(self, spine: Optional[SpineNode], lhs: str) -> tuple[str, tuple]:
         """Conditioning values for expanding ``lhs`` in this context.
 
-        Returns (path, values); values[0] is always the lhs itself and the
-        tuple is cut off at the configured depth for the path.  Missing
+        Returns (path, values): the path's full schedule, cut off after the
+        configured depth.  values[0] is always the lhs itself; missing
         structure shows up as None, never as a shorter tuple.
         """
         base, consumed = split_factored(lhs)
-        is_pos = lhs in self.grammar.preterminals
         if consumed:
             parent_spine = spine.parent
             within = spine.children
@@ -355,53 +371,27 @@ class ContextModel(InterpolationTable):
             within = ()
         siblings = parent_spine.children if parent_spine is not None else ()
         y_s = siblings[-1].label if siblings else None
-        if is_pos:
-            path = RIGHT if y_s is not None else MIDDLE
-        else:
+        parent = parent_spine.label if parent_spine is not None else None
+        grand = parent_spine.parent if parent_spine is not None else None
+        grand_label = grand.label if grand is not None else None
+        if lhs not in self.grammar.preterminals:
             path = LEFT
-        depth = min(self.config.depth_for(path), PATH_MAX[path])
-        values: list = [lhs]
-        if depth >= 1:
-            values.append(parent_spine.label if parent_spine is not None else None)
-        if depth >= 2:
-            values.append(y_s)
-        if depth >= 3:
-            if path == RIGHT:
-                heads = []
-                for h in c_command_heads(spine, self.head_table):
-                    heads.append(h)
-                    if len(heads) == 2:
-                        break
-                values.append(heads[0][0] if heads else None)
-                if depth >= 4:
-                    values.append(heads[1][0] if len(heads) > 1 else None)
-            else:
-                grand = parent_spine.parent if parent_spine is not None else None
-                values.append(grand.label if grand is not None else None)
-                if path == MIDDLE:
-                    if depth >= 4:
-                        first = next(c_command_heads(spine, self.head_table), None)
-                        values.append(first[1] if first else None)
-                        if depth >= 5:
-                            values.append(first[0] if first else None)
-                else:
-                    if depth >= 4:
-                        psibs = grand.children if grand is not None else ()
-                        values.append(psibs[-1].label if psibs else None)
-                    if depth >= 5:
-                        conj = None
-                        if y_s == self.conj_label and len(siblings) >= 2:
-                            prev = siblings[-2]
-                            if prev.children:
-                                conj = prev.children[0].label
-                        values.append(conj)
-                    if depth >= 6:
-                        if consumed:
-                            h = open_constituent_head(base, within, self.head_table)
-                            values.append(h[0] if h else None)
-                        else:
-                            values.append(None)
-        return path, tuple(values)
+            psibs = grand.children if grand is not None else ()
+            conj = None
+            if y_s == self.conj_label and len(siblings) >= 2 and siblings[-2].children:
+                conj = siblings[-2].children[0].label
+            head = open_constituent_head(base, within, self.head_table)
+            values = (lhs, parent, y_s, grand_label, psibs[-1].label if psibs else None, conj,
+                      head[0] if head else None)
+        elif y_s is None:
+            path = MIDDLE
+            first = next(c_command_heads(spine, self.head_table), None)
+            values = (lhs, parent, y_s, grand_label, first[1] if first else None, first[0] if first else None)
+        else:
+            path = RIGHT
+            heads = list(islice(c_command_heads(spine, self.head_table), 2))
+            values = (lhs, parent, y_s, heads[0][0] if heads else None, heads[1][0] if len(heads) > 1 else None)
+        return path, values[: self.config.depth_for(path) + 1]
 
     @staticmethod
     def _levels(values: tuple) -> list[tuple[int, tuple]]:
@@ -454,26 +444,13 @@ class ContextModel(InterpolationTable):
     def scorer(self, spine: Optional[SpineNode], lhs: str) -> Callable[[int], float]:
         """A log-probability function over rule ids for one expansion site.
 
-        With depth 0 this is the plain PCFG estimate and the partial tree
-        is never walked.
+        With depth 0 there are no levels and the partial tree is never walked.
         """
-        key0 = (lhs,)
-        tot0 = self.totals[0].get(key0, 0)
-        if not tot0:
-            return lambda rid: -math.inf
-        counts0 = self.tables[0][key0]
-        if self.config.max_depth == 0:
-            def score0(rid: int) -> float:
-                c = counts0.get(rid, 0)
-                return math.log(c / tot0) if c else -math.inf
-            return score0
-        path, values = self.extract_values(spine, lhs)
-        prep = self.mixing((path,), self._levels(values))
+        path, values = self.extract_values(spine, lhs) if self.config.max_depth else (LEFT, (lhs,))
+        prob = self.estimator((path,), values[:1], self._levels(values))
 
         def score(rid: int) -> float:
-            p = counts0.get(rid, 0) / tot0
-            for lam, counts, tot in prep:
-                p = lam * (counts.get(rid, 0) / tot) + (1.0 - lam) * p
+            p = prob(rid)
             return math.log(p) if p > 0.0 else -math.inf
 
         return score

@@ -155,13 +155,7 @@ class NgramModel(InterpolationTable):
         return self.fit_weights(sites, max_iter, tol)
 
     def word_prob(self, context: Sequence[str], word: str) -> float:
-        uni_total = self.totals[0].get((), 0)
-        if not uni_total:
-            return 0.0
-        p = self.tables[0][()].get(word, 0) / uni_total
-        for lam, counts, tot in self.mixing((), self._levels(tuple(context))):
-            p = lam * (counts.get(word, 0) / tot) + (1.0 - lam) * p
-        return p
+        return self.estimator((), (), self._levels(tuple(context)))(word)
 
     def word_probs(self, tokens: Sequence[str]) -> list[float]:
         return [self.word_prob(ctx, w) for w, ctx in self._histories([tokens])]

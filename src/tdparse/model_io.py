@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
-from .conditioning import CondConfig, ConditioningError, ContextModel, InterpolationTable
+from .conditioning import PATH_MAX, CondConfig, ConditioningError, ContextModel, InterpolationTable
 from .grammar import GrammarError, Pcfg, Rule, induce_pcfg, left_factor_tree
 from .langmodel import LangModelError, NgramModel, sentences_from_trees
 from .lookahead import LookaheadError, LookaheadTables
@@ -146,6 +146,16 @@ def _dec(field: str) -> Optional[str]:
 def _expect_fields(parts: list[str], n: int) -> None:
     if len(parts) != n:
         raise ValueError(f"expected {n} fields, got {len(parts)}")
+
+
+def _add_weight(weights: dict, key: tuple, text: str, where: str) -> None:
+    """Install one interpolation weight; EM only writes weights in [0, LAMBDA_CAP]."""
+    lam = float(text)
+    if not 0.0 <= lam < 1.0:
+        raise ModelIOError(f"{where}: interpolation weight {text} is not in [0, 1)")
+    if key in weights:
+        raise ModelIOError(f"{where}: repeated interpolation weight row")
+    weights[key] = lam
 
 
 def _rule_line(rule: Rule, count: int) -> str:
@@ -293,7 +303,9 @@ def load_model(path: str) -> ParserModel:
                 head_table[label] = (direction, tuple(priorities))
             elif kind == "clam":
                 _, path_name, level, bucket, lam = parts
-                clams[(path_name, int(level), int(bucket))] = float(lam)
+                if path_name not in PATH_MAX:
+                    raise ModelIOError(f"{path}:{lineno}: unknown clam path {path_name!r}")
+                _add_weight(clams, (path_name, int(level), int(bucket)), lam, f"{path}:{lineno}")
             elif kind == "ctx":
                 level = int(parts[1])
                 _expect_fields(parts, level + 5)
@@ -320,7 +332,7 @@ def load_model(path: str) -> ParserModel:
                     ngram_order = int(order)
                 elif parts[1] == "lam":
                     _, _, level, bucket, lam = parts
-                    nglams[(int(level), int(bucket))] = float(lam)
+                    _add_weight(nglams, (int(level), int(bucket)), lam, f"{path}:{lineno}")
                 elif parts[1] == "count":
                     level = int(parts[2])
                     _expect_fields(parts, level + 5)

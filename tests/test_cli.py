@@ -176,6 +176,19 @@ def test_parse_names_file_and_field_of_bad_norm_value(g1_model_path, tmp_path, c
         ("lap fw NP the 2", [], r":\d+: lap fw counts of NP sum to 3, not 5 \(lap occ less lap eps\)"),
         ("norm end_token </s>", ["norm end_token </s>", "norm bogus 1"], r":\d+: unknown norm field 'bogus'"),
         ("grammar start TOP", ["grammar foo TOP"], r":\d+: unknown grammar record 'foo'"),
+        ("clam left 1 2 0.6184705764424331", ["clam left 1 2 5.0"], r":\d+: interpolation weight 5\.0 is not in \[0, 1\)"),
+        ("clam left 1 2 0.6184705764424331", ["clam left 1 2 inf"], r":\d+: interpolation weight inf is not in \[0, 1\)"),
+        ("clam left 1 2 0.6184705764424331", ["clam left 1 2 nan"], r":\d+: interpolation weight nan is not in \[0, 1\)"),
+        ("clam left 1 2 0.6184705764424331", ["clam left 1 2 -3.0"], r":\d+: interpolation weight -3\.0 is not in \[0, 1\)"),
+        ("clam left 1 2 0.6184705764424331", ["clam left 1 2 1.0"], r":\d+: interpolation weight 1\.0 is not in \[0, 1\)"),
+        ("clam left 1 2 0.6184705764424331", ["clam left 1 2 half"], r":\d+: malformed line: clam left 1 2 half"),
+        ("clam left 1 2 0.6184705764424331", ["clam lfet 1 2 0.5"], r":\d+: unknown clam path 'lfet'"),
+        ("clam left 1 2 0.6184705764424331", ["clam left 1 2 0.6184705764424331", "clam left 1 2 0.5"], r":\d+: repeated interpolation weight row"),
+        ("ngram lam 1 2 0.999999", ["ngram lam 1 2 5.0"], r":\d+: interpolation weight 5\.0 is not in \[0, 1\)"),
+        ("ngram lam 1 2 0.999999", ["ngram lam 1 2 inf"], r":\d+: interpolation weight inf is not in \[0, 1\)"),
+        ("ngram lam 1 2 0.999999", ["ngram lam 1 2 nan"], r":\d+: interpolation weight nan is not in \[0, 1\)"),
+        ("ngram lam 1 2 0.999999", ["ngram lam 1 2 -3.0"], r":\d+: interpolation weight -3\.0 is not in \[0, 1\)"),
+        ("ngram lam 1 2 0.999999", ["ngram lam 1 2 0.999999"] * 2, r":\d+: repeated interpolation weight row"),
     ],
 )
 def test_parse_names_file_of_bad_model(g1_model_path, tmp_path, capsys, line, replacement, message):
@@ -381,6 +394,31 @@ def test_negative_max_len_is_rejected(argv, g1_model_path, capsys):
     _error_only(rc, stdout, stderr, "--max-len must be nonnegative")
 
 
+@pytest.mark.parametrize("argv, match", [
+    (["train", "--trees", "{trees}", "--heldout", "{trees}", "--out", "{out}", "--vocab-cap", "abc"],
+     r"^error=tdparse train: argument --vocab-cap: invalid int value: 'abc'$"),
+    (["train", "--trees", "{trees}", "--heldout", "{trees}", "--out", "{out}", "--conditioning", "-1,0,0"],
+     r"^error=tdparse train: argument --conditioning: expected one argument$"),
+    (["parse", "--input", "{sents}"], r"^error=tdparse parse: the following arguments are required: --model$"),
+    (["parse", "--model", "{out}", "--input", "{sents}", "--bogus"], r"^error=tdparse: unrecognized arguments: --bogus$"),
+    (["frobnicate"], r"^error=tdparse: argument command: invalid choice: 'frobnicate'"),
+    ([], r"^error=tdparse: the following arguments are required: command$"),
+])
+def test_rejected_flags_are_one_error(tmp_path, capsys, argv, match):
+    argv = [a.format(trees=FIXTURES / "g1.trees", sents=FIXTURES / "g1.sents", out=tmp_path / "m") for a in argv]
+    rc, stdout, stderr = _run(capsys, argv)
+    _error_only(rc, stdout, stderr, match)
+    assert not (tmp_path / "m").exists()
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["parse", "--help"]])
+def test_help_still_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert "usage: tdparse" in capsys.readouterr().out
+
+
 def test_lap_floor_above_one_is_refused(g1_model_path, capsys):
     argv = ["ppl", "--model", str(g1_model_path), "--input", str(FIXTURES / "g1.sents")]
     rc, stdout, stderr = _run(capsys, argv + ["--lap-floor", "5"])
@@ -421,7 +459,10 @@ def test_tree_past_the_depth_limit_is_one_error(g1_model_path, tmp_path, capsys,
         assert (rc, stdout, stderr) == (EXIT_ERROR, "", expected)
 
 
-def _mutated_tree_file(draw, tmp_path) -> str:
+_DEPTHS = (2, 3, MAX_FACTORED_DEPTH - 1, MAX_FACTORED_DEPTH, MAX_FACTORED_DEPTH + 1)
+
+
+def _mutated_tree_file(draw, tmp_path, depths=_DEPTHS) -> str:
     """g1 trees with lines deleted or duplicated, brackets dropped, or deep or wide trees added."""
     lines = (FIXTURES / "g1.trees").read_text().splitlines()
     for _ in range(draw(st.integers(0, 3))):
@@ -438,7 +479,7 @@ def _mutated_tree_file(draw, tmp_path) -> str:
             j = draw(st.sampled_from(spots))
             lines[i] = lines[i][:j] + lines[i][j + 1 :]
         else:
-            depth = draw(st.sampled_from([2, 3, MAX_FACTORED_DEPTH - 1, MAX_FACTORED_DEPTH, MAX_FACTORED_DEPTH + 1]))
+            depth = draw(st.sampled_from(depths))
             lines.append(_nested_tree(depth, kind))
     path = tmp_path / f"fuzz{draw(st.integers(0, 10**9))}.trees"
     path.write_text("\n".join(lines) + "\n")
@@ -468,3 +509,61 @@ def test_train_fuzz_ends_in_a_model_or_one_error(tmp_path, capsys, data):
         assert stderr == "" and stdout.endswith(f"model={tmp_path / 'fuzz.model'}\n")
     else:
         _error_only(rc, stdout, stderr, "")
+
+
+def _mutated_sentence_file(draw, tmp_path) -> str:
+    """g1 sentences with lines or tokens deleted or duplicated, unknown words, blank or non-UTF-8 lines."""
+    lines = (FIXTURES / "g1.sents").read_bytes().splitlines()
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(["delete", "duplicate", "drop_token", "repeat_token", "unknown", "blank", "latin1"]))
+        if kind in ("blank", "latin1") or not lines:
+            lines.insert(draw(st.integers(0, len(lines))), b"" if kind == "blank" else b"caf\xe9 ran")
+            continue
+        i = draw(st.integers(0, len(lines) - 1))
+        toks = lines[i].split()
+        j = draw(st.integers(0, max(len(toks) - 1, 0)))
+        if kind == "delete":
+            del lines[i]
+        elif kind == "duplicate":
+            lines.append(lines[i])
+        elif kind == "drop_token":
+            lines[i] = b" ".join(toks[:j] + toks[j + 1 :])
+        elif kind == "repeat_token":
+            lines[i] = b" ".join(toks[: j + 1] + toks[j:])
+        else:
+            lines[i] = b" ".join(toks[:j] + [b"zebra"] + toks[j:])
+    path = tmp_path / f"fuzz{draw(st.integers(0, 10**9))}.sents"
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    return str(path)
+
+
+_BEAM_FLAGS = [
+    ("--base-beam", ["1e-11", "1e-3", "0", "0.5", "1", "-1", "nan", "inf", "x"]),
+    ("--max-pops", ["1", "20", "10000", "0", "-5", "1.5", "x"]),
+    ("--lap-floor", ["1e-10", "0", "1", "1.5", "-0.1", "nan", "x"]),
+    ("--max-len", ["0", "1", "3", "-1", "x"]),
+]
+_PPL_FLAGS = [("--trigram-share", ["0.36", "0", "1", "1.5", "-0.1", "nan", "x"])]
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_parse_ppl_eval_fuzz_end_in_a_report_or_one_error(g1_model_path, tmp_path, capsys, data):
+    command = data.draw(st.sampled_from(["parse", "ppl", "eval"]))
+    if command == "eval":
+        # Trees at the depth limit parse in full and are slow; past it they are one error.
+        inputs = ["--gold", _mutated_tree_file(data.draw, tmp_path, depths=(2, 3, MAX_FACTORED_DEPTH + 1))]
+    else:
+        inputs = ["--input", _mutated_sentence_file(data.draw, tmp_path)]
+    argv = [command, "--model", str(g1_model_path)] + inputs
+    for flag, values in _BEAM_FLAGS + (_PPL_FLAGS if command == "ppl" else []):
+        if data.draw(st.booleans()):
+            argv += [flag, data.draw(st.sampled_from(values))]
+    if data.draw(st.integers(0, 9)) == 0:
+        del argv[data.draw(st.integers(1, len(argv) - 1))]
+    rc, stdout, stderr = _run(capsys, argv)
+    assert rc in (EXIT_OK, EXIT_ERROR, EXIT_GARDEN_PATH)
+    if rc == EXIT_ERROR:
+        _error_only(rc, stdout, stderr, "")
+    else:
+        assert stderr == "" and stdout

@@ -1,9 +1,10 @@
+import hashlib
 import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from support import factored_corpus, fixture_trees, random_corpus
+from support import as_corpus, factored_corpus, fixture_trees, random_corpus
 from tdparse.conditioning import (
     DEFAULT_HEAD_TABLE,
     LAMBDA_CAP,
@@ -25,6 +26,7 @@ from tdparse.conditioning import (
     tune_interpolation,
 )
 from tdparse.grammar import Rule, induce_pcfg, left_factor_tree, tree_to_derivation
+from tdparse.model_io import save_model, train_parser_model
 from tdparse.treebank import AXIOM, Tree, augment_with_stop, parse_trees
 
 
@@ -431,3 +433,40 @@ def test_train_counts_match_per_expansion_on_desk(desk):
 def test_train_counts_match_per_expansion_on_random_trees(n, seed):
     _assert_counts_match_per_expansion(random_corpus(n, seed))
 
+
+
+# sha256 over extract_values for every expansion of the desk training trees,
+# and over the saved g1 model bytes, at depths the benchmark never runs (its
+# workloads all use the default 6,5,4).  Recorded before extract_values was
+# rewritten as one schedule per path cut at the configured depth.
+_DEPTH_PINS = [
+    ("none", "770f403a155b9727404526358666d4b45f2c3bc1e56913deb215b1fe467b29d9", "51aba14920dfb2143952f3d5d2a15d2cb7df0d9b78286b49ef2a79293fefa3c1"),
+    ("par+sib", "ef5ac3bc92f3b9ac24a6d5a4d87f1499860c37e301b8d4f576fdc7d753f31640", "b673082563420f97432776ed986bf361e77c0136e836e7b159d03dc4eb0884c9"),
+    ("nt-struct", "d83e01c1edf63eafcda12533f4c4ec9454131e80a268ae80ad371e0568d3c1ec", "47baa3b08ea9c583a3bdd55daa4ebda4d1cfe6c648499a0c461600e10975d8f7"),
+    ("nt-head", "17401aa0d68a2f7ee7bdd7f7e3a5878b8d6e81b10d4a0ce95e1e4cc7fca2cc08", "d414266455c54a30004ff2c40e94bcc2b1dc0b5492466ea3e07cf82738a69cbd"),
+    ("pos-struct", "d33bd55fa6257e7fcb5b03c5ef11918bdbe30332d4c5b219659b6c62120f8c4d", "af6803c97e2daffa3ff925cc5b0c904787cffdca33cf85d43c32ed9b426fdb29"),
+    ("attach", "e3b12e82ce077eac9490d53ec09cac087918ec33760b0789f6985caa8e725fd6", "ee550b643246e63a559071cb30f9c0be21d82d9aa5aae0951161334a8a4dd048"),
+    ("all", "dd969789ae4e3056697941edb6504e48c02888e31976941088ad1e7964342a1a", "b0d372d108ba999c927bd06a4e3cbe7e985ce2915259226d2ab2ac6b02403e56"),
+    ("3,2,1", "139827add529a20a3831f4ba9b8fa5e91987f1c1ecc2d016abd4861dd92ca4f5", "0841a317801e3e7e53fb332b29d8678d1f266598f78384caf97933a70ded129f"),
+    ("1,4,3", "6e66db28d441856d93983dfb8a7b505c2b211361c3dd8b2e0393775f5937b02c", "a53acde8efcebecc4f86ca9c8a85f9edec5322008fc3f127c1f3e42ed47b5209"),
+]
+
+
+@pytest.fixture(scope="module")
+def desk_replay(desk):
+    fact = factored_corpus(desk.train.trees)
+    return induce_pcfg(fact, AXIOM), list(replay(fact))
+
+
+@pytest.mark.parametrize("spec, values_sha, model_sha", _DEPTH_PINS)
+def test_depths_off_the_benchmark_are_pinned(desk_replay, g1_trees, tmp_path, spec, values_sha, model_sha):
+    config = CondConfig(*map(int, spec.split(","))) if "," in spec else CondConfig.from_preset(spec)
+    grammar, expansions = desk_replay
+    cm = ContextModel(grammar, config)
+    digest = hashlib.sha256()
+    for spine, rule in expansions:
+        digest.update(repr(cm.extract_values(spine, rule.lhs)).encode() + b"\n")
+    assert digest.hexdigest() == values_sha
+    model, _ = train_parser_model(as_corpus(g1_trees, "train"), as_corpus(g1_trees, "heldout"), cond_config=config)
+    save_model(model, str(tmp_path / "g1.model"))
+    assert hashlib.sha256((tmp_path / "g1.model").read_bytes()).hexdigest() == model_sha
