@@ -224,8 +224,8 @@ def cmd_eval(args) -> int:
         words = gold_tree.yield_tokens()
         if args.max_len and len(words) > args.max_len:
             continue
-        result = parser.parse(words + [model.normalization.end_token])
-        gold_aug = augment_with_stop(gold_tree, model.normalization.end_token)
+        result = parser.parse(words + [END_TOKEN])
+        gold_aug = augment_with_stop(gold_tree)
         pairs.append((gold_aug, result.tree, result.failed))
         total_pops += result.pops
         total_words += len(result.words)

@@ -27,6 +27,9 @@ adds no mixing step (it carries no new conditioning event), though the
 NULL stays part of deeper table keys.  The lam_k are tied by (path,
 level, frequency bucket of the conditioning-event count) and fit by EM
 on heldout derivations.
+
+The head percolation rules (HEAD_TABLE) and the conjunction label
+(CONJ_LABEL) are fixed parts of the model, not settings.
 """
 
 from __future__ import annotations
@@ -144,7 +147,7 @@ class InterpolationTable:
 # the given direction; with no priority hit it falls back to the first
 # child ("left") or last child ("right").  Covers the conventional
 # treebank inventory plus the short tags the fixture grammars use.
-DEFAULT_HEAD_TABLE: dict[str, tuple[str, tuple[str, ...]]] = {
+HEAD_TABLE: dict[str, tuple[str, tuple[str, ...]]] = {
     "TOP": ("left", ()),
     "S": ("left", ("VP", "S", "SBAR", "SINV", "ADJP", "UCP", "NP")),
     "SINV": ("left", ("VBZ", "VBD", "VBP", "VB", "MD", "VP", "S", "SINV", "ADJP", "NP")),
@@ -170,7 +173,10 @@ DEFAULT_HEAD_TABLE: dict[str, tuple[str, tuple[str, ...]]] = {
     "FRAG": ("right", ()),
     "X": ("right", ()),
 }
-DEFAULT_HEAD_FALLBACK = ("left", ())
+HEAD_FALLBACK = ("left", ())
+
+# The left path's conjunction peek looks behind a left sibling with this label.
+CONJ_LABEL = "CC"
 
 PRESETS: dict[str, tuple[int, int, int]] = {
     "none": (0, 0, 0),
@@ -280,23 +286,23 @@ def replay(trees: Iterable[Tree]) -> Iterator[tuple[Optional[SpineNode], Rule]]:
             spine, _ = apply_rule(spine, rule)
 
 
-def head_of(t: Tree, table: dict) -> tuple[str, str]:
+def head_of(t: Tree) -> tuple[str, str]:
     """Percolated (token, POS tag) head of a completed subtree."""
-    cached = t._head
-    if cached is not None and cached[0] is table:
-        return cached[1]
+    h = t._head
+    if h is not None:
+        return h
     if t.is_leaf:
         h = (t.label, t.label)
     elif t.is_preterminal:
         h = (t.children[0].label, t.label)
     else:
-        h = head_of(head_child(t.label, t.children, table), table)
-    t._head = (table, h)
+        h = head_of(head_child(t.label, t.children))
+    t._head = h
     return h
 
 
-def head_child(label: str, children: tuple[Tree, ...], table: dict) -> Tree:
-    direction, priorities = table.get(label, DEFAULT_HEAD_FALLBACK)
+def head_child(label: str, children: tuple[Tree, ...]) -> Tree:
+    direction, priorities = HEAD_TABLE.get(label, HEAD_FALLBACK)
     ordered = children if direction == "left" else children[::-1]
     for want in priorities:
         for child in ordered:
@@ -305,7 +311,7 @@ def head_child(label: str, children: tuple[Tree, ...], table: dict) -> Tree:
     return ordered[0]
 
 
-def open_constituent_head(label: str, children: tuple[Tree, ...], table: dict) -> Optional[tuple[str, str]]:
+def open_constituent_head(label: str, children: tuple[Tree, ...]) -> Optional[tuple[str, str]]:
     """Head of a constituent still being built.
 
     If the percolation priorities match one of the children seen so far,
@@ -314,15 +320,15 @@ def open_constituent_head(label: str, children: tuple[Tree, ...], table: dict) -
     """
     if not children:
         return None
-    _, priorities = table.get(label, DEFAULT_HEAD_FALLBACK)
+    _, priorities = HEAD_TABLE.get(label, HEAD_FALLBACK)
     for want in priorities:
         for child in reversed(children):
             if child.label == want:
-                return head_of(child, table)
-    return head_of(children[-1], table)
+                return head_of(child)
+    return head_of(children[-1])
 
 
-def c_command_heads(spine: Optional[SpineNode], table: dict) -> Iterator[tuple[str, str]]:
+def c_command_heads(spine: Optional[SpineNode]) -> Iterator[tuple[str, str]]:
     """Heads of constituents c-commanding the node pending under ``spine``.
 
     Nearest first: completed left siblings of the pending node, then the
@@ -333,25 +339,17 @@ def c_command_heads(spine: Optional[SpineNode], table: dict) -> Iterator[tuple[s
     node = spine
     while node is not None:
         for sib in reversed(node.children):
-            yield head_of(sib, table)
+            yield head_of(sib)
         node = node.parent
 
 
 class ContextModel(InterpolationTable):
     """Count tables over conditioning-value prefixes, weights tied by path."""
 
-    def __init__(
-        self,
-        grammar: Pcfg,
-        config: CondConfig,
-        head_table: Optional[dict] = None,
-        conj_label: str = "CC",
-    ):
+    def __init__(self, grammar: Pcfg, config: CondConfig):
         super().__init__(config.max_depth + 1)
         self.grammar = grammar
         self.config = config
-        self.head_table = head_table if head_table is not None else DEFAULT_HEAD_TABLE
-        self.conj_label = conj_label
 
     # -- context extraction -------------------------------------------------
 
@@ -378,18 +376,18 @@ class ContextModel(InterpolationTable):
             path = LEFT
             psibs = grand.children if grand is not None else ()
             conj = None
-            if y_s == self.conj_label and len(siblings) >= 2 and siblings[-2].children:
+            if y_s == CONJ_LABEL and len(siblings) >= 2 and siblings[-2].children:
                 conj = siblings[-2].children[0].label
-            head = open_constituent_head(base, within, self.head_table)
+            head = open_constituent_head(base, within)
             values = (lhs, parent, y_s, grand_label, psibs[-1].label if psibs else None, conj,
                       head[0] if head else None)
         elif y_s is None:
             path = MIDDLE
-            first = next(c_command_heads(spine, self.head_table), None)
+            first = next(c_command_heads(spine), None)
             values = (lhs, parent, y_s, grand_label, first[1] if first else None, first[0] if first else None)
         else:
             path = RIGHT
-            heads = list(islice(c_command_heads(spine, self.head_table), 2))
+            heads = list(islice(c_command_heads(spine), 2))
             values = (lhs, parent, y_s, heads[0][0] if heads else None, heads[1][0] if len(heads) > 1 else None)
         return path, values[: self.config.depth_for(path) + 1]
 

@@ -26,25 +26,20 @@ class EvalError(ValueError):
     pass
 
 
-def constituents(
-    tree: Tree,
-    axiom: str = AXIOM,
-    stop_label: str = STOP_LABEL,
-    end_token: str = END_TOKEN,
-) -> list[tuple[str, int, int]]:
+def constituents(tree: Tree) -> list[tuple[str, int, int]]:
     """(label, start, end) spans eligible for scoring, in tree order."""
     spans: list[tuple[str, int, int]] = []
 
     def walk(t: Tree, i: int) -> int:
         if t.is_leaf:
-            return i if t.label in (EPSILON, end_token) else i + 1
+            return i if t.label in (EPSILON, END_TOKEN) else i + 1
         j = i
         for child in t.children:
             j = walk(child, j)
         if (
             j > i
             and not t.is_preterminal
-            and t.label not in (axiom, stop_label)
+            and t.label not in (AXIOM, STOP_LABEL)
             and not is_factored(t.label)
         ):
             spans.append((t.label, i, j))
@@ -63,8 +58,8 @@ class PairScore:
     exact: bool
 
 
-def _scored_words(t: Tree, end_token: str = END_TOKEN) -> list[str]:
-    return [l.label for l in t.leaves() if l.label not in (EPSILON, end_token)]
+def _scored_words(t: Tree) -> list[str]:
+    return [l.label for l in t.leaves() if l.label not in (EPSILON, END_TOKEN)]
 
 
 def score_pair(gold_tree: Tree, test_tree: Tree) -> PairScore:

@@ -30,9 +30,9 @@ class LangModelError(ValueError):
     pass
 
 
-def sentences_from_trees(trees: Iterable[Tree], end_token: str = END_TOKEN) -> list[list[str]]:
+def sentences_from_trees(trees: Iterable[Tree]) -> list[list[str]]:
     """Token lists (end marker appended) from tree yields."""
-    return [list(t.yield_tokens()) + [end_token] for t in trees]
+    return [list(t.yield_tokens()) + [END_TOKEN] for t in trees]
 
 
 @dataclass

@@ -13,12 +13,18 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
-from .conditioning import PATH_MAX, CondConfig, ConditioningError, ContextModel, InterpolationTable
+from .conditioning import (
+    BUCKET_EDGES, CONJ_LABEL, HEAD_TABLE, PATH_MAX, CondConfig, ConditioningError, ContextModel, InterpolationTable,
+)
 from .grammar import GrammarError, Pcfg, Rule, induce_pcfg, left_factor_tree
 from .langmodel import LangModelError, NgramModel, sentences_from_trees
 from .lookahead import LookaheadError, LookaheadTables
 from .treebank import (
     AXIOM,
+    END_TOKEN,
+    NUMBER_TOKEN,
+    PUNCT_LABELS,
+    UNK_TOKEN,
     Corpus,
     NormalizationConfig,
     TreebankError,
@@ -36,11 +42,28 @@ FORMAT_VERSION = 1
 LAP_TABLES = {"occ": "occurrences", "eps": "erased", "fw": "first_word", "fp": "first_pos", "pw": "pos_word"}
 # Counts are positive, and each count row's key appears once.
 BAD_COUNT = "count below 1 or repeated count row"
-NORM_FIELDS = ("strip_punctuation", "number_token", "vocab_cap", "unk_token", "end_token")
+# Records a model file holds exactly once.
+ONCE = ("grammar start", "cond config", "ngram order", "norm strip_punctuation", "norm vocab_cap", "lap k")
+# The rows that write down the fixed protocol symbols, by record: reserved
+# tokens, punctuation labels, conjunction label and head rules.  A model file
+# holds each row exactly once, and no other row of these records.
+FIXED_ROWS = {
+    "norm number_token": [f"norm number_token {NUMBER_TOKEN}"],
+    "norm unk_token": [f"norm unk_token {UNK_TOKEN}"],
+    "norm end_token": [f"norm end_token {END_TOKEN}"],
+    "norm punct_label": [f"norm punct_label {label}" for label in sorted(PUNCT_LABELS)],
+    "cond conj": [f"cond conj {CONJ_LABEL}"],
+    "head": [" ".join(["head", label, direction, *priorities]) for label, (direction, priorities) in sorted(HEAD_TABLE.items())],
+}
+FIXED = dict.fromkeys(row for rows in FIXED_ROWS.values() for row in rows)
 
 
 class ModelIOError(ValueError):
     pass
+
+
+class _BadLine(ValueError):
+    """A model-file line that reads but breaks the format; load_model adds file and line."""
 
 
 @dataclass
@@ -58,8 +81,7 @@ class ParserModel:
 
     def prepare(self, tokens: list[str]) -> list[str]:
         """Normalize an input sentence and append the end marker."""
-        toks = normalize_tokens(tokens, self.vocabulary, self.normalization)
-        return toks + [self.normalization.end_token]
+        return normalize_tokens(tokens, self.vocabulary) + [END_TOKEN]
 
 
 def prepare_trees(corpus: Corpus, model: ParserModel) -> Corpus:
@@ -91,8 +113,8 @@ def train_parser_model(
 
     lookahead = LookaheadTables.from_trees(grammar, factored, smoothing_k=lookahead_k)
 
-    train_sents = sentences_from_trees(norm_train.trees, normalization.end_token)
-    heldout_sents = sentences_from_trees(norm_heldout.trees, normalization.end_token)
+    train_sents = sentences_from_trees(norm_train.trees)
+    heldout_sents = sentences_from_trees(norm_heldout.trees)
     ngram = NgramModel(ngram_order)
     ngram.train(train_sents)
     ngram_history = ngram.tune(heldout_sents, max_iter=em_max_iter, tol=em_tol)
@@ -148,14 +170,41 @@ def _expect_fields(parts: list[str], n: int) -> None:
         raise ValueError(f"expected {n} fields, got {len(parts)}")
 
 
-def _add_weight(weights: dict, key: tuple, text: str, where: str) -> None:
-    """Install one interpolation weight; EM only writes weights in [0, LAMBDA_CAP]."""
+def _once(table: dict, key, value) -> None:
+    """Install a value that a model file gives once."""
+    if key in table:
+        raise _BadLine("repeated row")
+    table[key] = value
+
+
+def _fixed_row(single: dict, parts: list[str]) -> None:
+    """Note one row of the fixed protocol symbols; any other content is an error."""
+    row = " ".join(parts)
+    if row not in FIXED:
+        raise _BadLine(f"not one of the fixed {parts[0]} rows: {row}")
+    _once(single, row, None)
+
+
+def _add_weight(weights: dict, key: tuple, text: str, lineno: int) -> None:
+    """Note one interpolation weight and its line; EM only writes weights in [0, LAMBDA_CAP]."""
     lam = float(text)
     if not 0.0 <= lam < 1.0:
-        raise ModelIOError(f"{where}: interpolation weight {text} is not in [0, 1)")
+        raise _BadLine(f"interpolation weight {text} is not in [0, 1)")
     if key in weights:
-        raise ModelIOError(f"{where}: repeated interpolation weight row")
-    weights[key] = lam
+        raise _BadLine("repeated interpolation weight row")
+    weights[key] = (lam, lineno)
+
+
+def _weights(path: str, record: str, rows: dict, top) -> dict:
+    """The weights of (key -> (weight, line)) rows.  Only levels 1..top(key) mix in and
+    buckets run 0..len(BUCKET_EDGES): a weight at any other key would never be read."""
+    for key, (_, lineno) in rows.items():
+        *_, level, bucket = key
+        if not 1 <= level <= top(key):
+            raise ModelIOError(f"{path}:{lineno}: {record} level {level} is outside 1..{top(key)}")
+        if not 0 <= bucket <= len(BUCKET_EDGES):
+            raise ModelIOError(f"{path}:{lineno}: {record} bucket {bucket} is outside 0..{len(BUCKET_EDGES)}")
+    return {key: lam for key, (lam, _) in rows.items()}
 
 
 def _rule_line(rule: Rule, count: int) -> str:
@@ -178,12 +227,10 @@ def save_model(model: ParserModel, path: str) -> None:
     lines: list[str] = [f"{FORMAT_NAME} {FORMAT_VERSION}"]
     n = model.normalization
     lines.append(f"norm strip_punctuation {int(n.strip_punctuation)}")
-    lines.append(f"norm number_token {n.number_token}")
+    lines += FIXED_ROWS["norm number_token"]
     lines.append(f"norm vocab_cap {n.vocab_cap}")
-    lines.append(f"norm unk_token {n.unk_token}")
-    lines.append(f"norm end_token {n.end_token}")
-    for label in sorted(n.punct_labels):
-        lines.append(f"norm punct_label {label}")
+    for record in ("norm unk_token", "norm end_token", "norm punct_label"):
+        lines += FIXED_ROWS[record]
     for token in sorted(model.vocabulary):
         lines.append(f"vocab {token}")
 
@@ -195,10 +242,7 @@ def save_model(model: ParserModel, path: str) -> None:
     c = model.context
     cc = c.config
     lines.append(f"cond config {cc.phrasal_depth} {cc.first_pos_depth} {cc.later_pos_depth}")
-    lines.append(f"cond conj {c.conj_label}")
-    for label in sorted(c.head_table):
-        direction, priorities = c.head_table[label]
-        lines.append(" ".join(["head", label, direction, *priorities]))
+    lines += FIXED_ROWS["cond conj"] + FIXED_ROWS["head"]
     for (path_name, level, bucket), lam in sorted(c.lambdas.items()):
         lines.append(f"clam {path_name} {level} {bucket} {lam!r}")
     lines.extend(_count_lines("ctx", c, _enc))
@@ -245,21 +289,15 @@ def load_model(path: str) -> ParserModel:
             f"{path}: model format version {head[1]} is not supported (expected {FORMAT_VERSION})"
         )
 
-    norm_fields: dict[str, str] = {}
-    punct: list[str] = []
-    vocab: list[str] = []
-    start: Optional[str] = None
+    # The value of each record in ONCE, and None for each fixed row.
+    single: dict[str, object] = {}
+    vocab: dict[str, None] = {}
     rule_counts: dict[Rule, int] = {}
-    cond_cfg: Optional[tuple[int, int, int]] = None
-    conj = "CC"
-    head_table: dict[str, tuple[str, tuple[str, ...]]] = {}
-    clams: dict[tuple[str, int, int], float] = {}
+    clams: dict[tuple[str, int, int], tuple[float, int]] = {}
     ctx_rows: list[tuple[int, int, tuple, int, int]] = []
-    lap_k = 5
     lap: dict[str, dict] = {kind: {} for kind in LAP_TABLES}
-    ngram_order: Optional[int] = None
     ngram_rows: list[tuple[int, int, tuple[str, ...], str, int]] = []
-    nglams: dict[tuple[int, int], float] = {}
+    nglams: dict[tuple[int, int], tuple[float, int]] = {}
 
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
@@ -268,44 +306,44 @@ def load_model(path: str) -> ParserModel:
         kind = parts[0]
         try:
             if kind == "norm":
-                _, name, value = parts
-                if name == "punct_label":
-                    punct.append(value)
-                elif name in NORM_FIELDS:
-                    norm_fields[name] = value
+                if f"norm {parts[1]}" in FIXED_ROWS:
+                    _fixed_row(single, parts)
                 else:
-                    raise ModelIOError(f"{path}:{lineno}: unknown norm field {name!r}")
+                    _, name, value = parts
+                    if f"norm {name}" not in ONCE:
+                        raise _BadLine(f"unknown norm field {name!r}")
+                    _once(single, f"norm {name}", value)
             elif kind == "vocab":
                 _, token = parts
-                vocab.append(token)
+                _once(vocab, token, None)
             elif kind == "grammar":
                 _, sub, value = parts
                 if sub != "start":
-                    raise ModelIOError(f"{path}:{lineno}: unknown grammar record {sub!r}")
-                start = value
+                    raise _BadLine(f"unknown grammar record {sub!r}")
+                _once(single, "grammar start", value)
             elif kind == "rule":
                 if parts[2] not in ("eps", "lex", "bin"):
-                    raise ModelIOError(f"{path}:{lineno}: unknown rule kind {parts[2]!r}")
+                    raise _BadLine(f"unknown rule kind {parts[2]!r}")
                 _expect_fields(parts, {"eps": 4, "lex": 5, "bin": 6}[parts[2]])
-                rule_counts[Rule(parts[3], tuple(parts[4:]), parts[2] == "lex")] = int(parts[1])
+                _once(rule_counts, Rule(parts[3], tuple(parts[4:]), parts[2] == "lex"), int(parts[1]))
             elif kind == "cond":
                 if parts[1] == "config":
                     _, _, phrasal, first_pos, later_pos = parts
-                    cond_cfg = (int(phrasal), int(first_pos), int(later_pos))
+                    depths = (int(phrasal), int(first_pos), int(later_pos))
+                    if any(d > top for d, top in zip(depths, PATH_MAX.values())):
+                        raise _BadLine(f"cond config depths exceed {' '.join(map(str, PATH_MAX.values()))}")
+                    _once(single, "cond config", depths)
                 elif parts[1] == "conj":
-                    _, _, conj = parts
+                    _fixed_row(single, parts)
                 else:
-                    raise ModelIOError(f"{path}:{lineno}: unknown cond record {parts[1]!r}")
+                    raise _BadLine(f"unknown cond record {parts[1]!r}")
             elif kind == "head":
-                _, label, direction, *priorities = parts
-                if direction not in ("left", "right"):
-                    raise ModelIOError(f"{path}:{lineno}: head direction {direction!r} is not left or right")
-                head_table[label] = (direction, tuple(priorities))
+                _fixed_row(single, parts)
             elif kind == "clam":
                 _, path_name, level, bucket, lam = parts
                 if path_name not in PATH_MAX:
-                    raise ModelIOError(f"{path}:{lineno}: unknown clam path {path_name!r}")
-                _add_weight(clams, (path_name, int(level), int(bucket)), lam, f"{path}:{lineno}")
+                    raise _BadLine(f"unknown clam path {path_name!r}")
+                _add_weight(clams, (path_name, int(level), int(bucket)), lam, lineno)
             elif kind == "ctx":
                 level = int(parts[1])
                 _expect_fields(parts, level + 5)
@@ -314,7 +352,7 @@ def load_model(path: str) -> ParserModel:
             elif kind == "lap":
                 if parts[1] == "k":
                     _, _, k = parts
-                    lap_k = int(k)
+                    _once(single, "lap k", int(k))
                 elif parts[1] in lap:
                     table, fields = lap[parts[1]], parts[2:]
                     if parts[1] not in ("occ", "eps"):
@@ -322,74 +360,58 @@ def load_model(path: str) -> ParserModel:
                     key, count = fields
                     n = int(count)
                     if n < 1 or key in table:
-                        raise ModelIOError(f"{path}:{lineno}: {BAD_COUNT}: {line}")
+                        raise _BadLine(f"{BAD_COUNT}: {line}")
                     table[key] = n
                 else:
-                    raise ModelIOError(f"{path}:{lineno}: unknown lap record {parts[1]!r}")
+                    raise _BadLine(f"unknown lap record {parts[1]!r}")
             elif kind == "ngram":
                 if parts[1] == "order":
                     _, _, order = parts
-                    ngram_order = int(order)
+                    _once(single, "ngram order", int(order))
                 elif parts[1] == "lam":
                     _, _, level, bucket, lam = parts
-                    _add_weight(nglams, (int(level), int(bucket)), lam, f"{path}:{lineno}")
+                    _add_weight(nglams, (int(level), int(bucket)), lam, lineno)
                 elif parts[1] == "count":
                     level = int(parts[2])
                     _expect_fields(parts, level + 5)
                     ctx = tuple(parts[3 : 3 + level])
                     ngram_rows.append((lineno, level, ctx, parts[3 + level], int(parts[4 + level])))
                 else:
-                    raise ModelIOError(f"{path}:{lineno}: unknown ngram record {parts[1]!r}")
+                    raise _BadLine(f"unknown ngram record {parts[1]!r}")
             else:
-                raise ModelIOError(f"{path}:{lineno}: unknown record {kind!r}")
+                raise _BadLine(f"unknown record {kind!r}")
         except (IndexError, ValueError) as exc:
-            if isinstance(exc, ModelIOError):
-                raise
-            raise ModelIOError(f"{path}:{lineno}: malformed line: {line}") from exc
+            reason = exc if isinstance(exc, _BadLine) else f"malformed line: {line}"
+            raise ModelIOError(f"{path}:{lineno}: {reason}") from exc
 
-    if start is None or not rule_counts:
+    if not rule_counts:
         raise ModelIOError(f"{path}: missing grammar section")
-    if cond_cfg is None:
-        raise ModelIOError(f"{path}: missing conditioning config")
-    if ngram_order is None:
-        raise ModelIOError(f"{path}: missing ngram section")
-    for name in NORM_FIELDS:
-        if name not in norm_fields:
-            raise ModelIOError(f"{path}: missing norm field {name!r}")
+    for key in (*ONCE, *FIXED):
+        if key not in single:
+            raise ModelIOError(f"{path}: missing row: {key}")
 
-    strip = {"0": False, "1": True}.get(norm_fields["strip_punctuation"])
+    strip = {"0": False, "1": True}.get(single["norm strip_punctuation"])
     if strip is None:
         raise ModelIOError(f"{path}: norm field 'strip_punctuation' must be 0 or 1")
     try:
-        vocab_cap = int(norm_fields["vocab_cap"])
+        vocab_cap = int(single["norm vocab_cap"])
     except ValueError:
         raise ModelIOError(f"{path}: norm field 'vocab_cap' must be an integer") from None
     # A trained n-gram model has counts at every level below its order.
+    ngram_order = single["ngram order"]
     top = max((row[1] for row in ngram_rows), default=-1)
     if ngram_order > top + 1:
         raise ModelIOError(f"{path}: ngram order {ngram_order} but no counts above level {top}")
     try:
-        normalization = NormalizationConfig(
-            strip_punctuation=strip,
-            punct_labels=frozenset(punct),
-            number_token=norm_fields["number_token"],
-            vocab_cap=vocab_cap,
-            unk_token=norm_fields["unk_token"],
-            end_token=norm_fields["end_token"],
-        )
-        grammar = Pcfg(rule_counts, start)
-        context = ContextModel(
-            grammar,
-            CondConfig(*cond_cfg),
-            head_table=head_table if head_table else None,
-            conj_label=conj,
-        )
-        lookahead = LookaheadTables(grammar, lap_k)
+        normalization = NormalizationConfig(strip_punctuation=strip, vocab_cap=vocab_cap)
+        grammar = Pcfg(rule_counts, single["grammar start"])
+        context = ContextModel(grammar, CondConfig(*single["cond config"]))
+        lookahead = LookaheadTables(grammar, single["lap k"])
         ngram = NgramModel(ngram_order)
     except (TreebankError, GrammarError, ConditioningError, LookaheadError, LangModelError) as exc:
         raise ModelIOError(f"{path}: {exc}") from None
 
-    context.lambdas = clams
+    context.lambdas = _weights(path, "clam", clams, lambda key: context.config.depth_for(key[0]))
     for lineno, level, values, rid, count in ctx_rows:
         if not (0 <= level < len(context.tables) and 0 <= rid < len(grammar.rules)):
             raise ModelIOError(f"{path}: ctx record for rule {rid} at level {level} is out of range")
@@ -426,7 +448,7 @@ def load_model(path: str) -> ParserModel:
             raise ModelIOError(f"{path}:{lineno}: ngram count level {level} is outside 0..{ngram.order - 1}")
         if count < 1 or ngram.add(level, ctx, word, count) != count:
             raise ModelIOError(f"{path}:{lineno}: {BAD_COUNT}: {lines[lineno - 1]}")
-    ngram.lambdas = nglams
+    ngram.lambdas = _weights(path, "ngram lam", nglams, lambda key: ngram.order - 1)
 
     return ParserModel(
         normalization=normalization,

@@ -18,16 +18,17 @@ import contextlib
 import operator
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence, TextIO
+from typing import ClassVar, Iterable, Iterator, Optional, Sequence, TextIO
 
-# Reserved protocol tokens.  All of these are configurable at the call
-# sites that care; the constants are the documented defaults.
+# Reserved protocol symbols.  They are fixed parts of the model, not
+# settings: every derivation ends in STOP -> END_TOKEN under the axiom.
 AXIOM = "TOP"
 STOP_LABEL = "STOP"
 END_TOKEN = "</s>"
 UNK_TOKEN = "<unk>"
 NUMBER_TOKEN = "N"
 EPSILON = "<eps>"
+RESERVED_TOKENS = frozenset({NUMBER_TOKEN, UNK_TOKEN, END_TOKEN})
 
 FACTOR_SEP = "-"
 CHILD_SEP = ","
@@ -38,7 +39,8 @@ RESERVED_LABEL_CHARS = (FACTOR_SEP, CHILD_SEP)
 # limit trains and evaluates inside Python's default limit of 1,000 frames.
 MAX_FACTORED_DEPTH = 500
 
-DEFAULT_PUNCT_LABELS = frozenset({".", ",", ":", "``", "''", "-LRB-", "-RRB-"})
+# Preterminal labels that speech normalization deletes.
+PUNCT_LABELS = frozenset({".", ",", ":", "``", "''", "-LRB-", "-RRB-"})
 
 ROLES = ("train", "heldout", "test")
 
@@ -204,8 +206,7 @@ class Corpus:
     """A list of trees plus the closed vocabulary they define.
 
     The vocabulary is the union of tree yields and the reserved tokens in
-    play: the end marker always, the unknown token once normalization has
-    run (read_corpus cannot know a custom unk token).
+    play: the end marker always, the unknown token once normalization has run.
     """
 
     trees: tuple[Tree, ...]
@@ -217,43 +218,33 @@ class Corpus:
             raise TreebankError(f"unknown corpus role {self.role!r}")
 
 
-def read_corpus(path: str, role: str, end_token: str = END_TOKEN) -> Corpus:
+def read_corpus(path: str, role: str) -> Corpus:
     trees = read_trees(path)
     if not trees:
         raise TreebankError(f"{path}: empty corpus")
     vocab = {tok for t in trees for tok in t.yield_tokens()}
-    vocab.add(end_token)
+    vocab.add(END_TOKEN)
     return Corpus(tuple(trees), frozenset(vocab), role)
 
 
-def augment_with_stop(
-    t: Tree,
-    end_token: str = END_TOKEN,
-    axiom: str = AXIOM,
-    stop_label: str = STOP_LABEL,
-) -> Tree:
+def augment_with_stop(t: Tree, end_token: str = END_TOKEN) -> Tree:
     """Wrap a tree under the axiom with an explicit end-marker child."""
-    if t.label == axiom:
-        raise TreebankError(f"tree is already rooted at the axiom {axiom!r}")
-    return Tree(axiom, (t, Tree(stop_label, (Tree(end_token),))))
+    if t.label == AXIOM:
+        raise TreebankError(f"tree is already rooted at the axiom {AXIOM!r}")
+    return Tree(AXIOM, (t, Tree(STOP_LABEL, (Tree(end_token),))))
 
 
-def strip_stop(
-    t: Tree,
-    end_token: str = END_TOKEN,
-    axiom: str = AXIOM,
-    stop_label: str = STOP_LABEL,
-) -> Tree:
+def strip_stop(t: Tree) -> Tree:
     """Inverse of augment_with_stop; rejects anything of a different shape."""
-    if t.label != axiom:
-        raise TreebankError(f"root is {t.label!r}, not the axiom {axiom!r}")
+    if t.label != AXIOM:
+        raise TreebankError(f"root is {t.label!r}, not the axiom {AXIOM!r}")
     if len(t.children) != 2:
         raise TreebankError("axiom node must have exactly two children")
     body, stop = t.children
-    if stop.label != stop_label or not stop.is_preterminal:
-        raise TreebankError(f"second child of axiom is not a {stop_label!r} preterminal")
-    if stop.children[0].label != end_token:
-        raise TreebankError(f"{stop_label!r} does not dominate the end token {end_token!r}")
+    if stop.label != STOP_LABEL or not stop.is_preterminal:
+        raise TreebankError(f"second child of axiom is not a {STOP_LABEL!r} preterminal")
+    if stop.children[0].label != END_TOKEN:
+        raise TreebankError(f"{STOP_LABEL!r} does not dominate the end token {END_TOKEN!r}")
     return body
 
 
@@ -262,33 +253,27 @@ class NormalizationConfig:
     """Speech-style normalization: drop punctuation, fold numbers, cap vocab."""
 
     strip_punctuation: bool = True
-    punct_labels: frozenset[str] = DEFAULT_PUNCT_LABELS
-    number_token: str = NUMBER_TOKEN
     vocab_cap: int = 10000
-    unk_token: str = UNK_TOKEN
-    end_token: str = END_TOKEN
+    # Fixed tokens, not fields; kept readable for callers that hold a config.
+    unk_token: ClassVar[str] = UNK_TOKEN
+    end_token: ClassVar[str] = END_TOKEN
 
     def __post_init__(self):
         if self.vocab_cap < 1:
             raise TreebankError("vocab_cap must be at least 1")
-        if self.unk_token == self.end_token:
-            raise TreebankError("unk_token and end_token must differ")
-
-    def reserved_tokens(self) -> frozenset[str]:
-        return frozenset({self.number_token, self.unk_token, self.end_token})
 
 
 def is_number_token(tok: str) -> bool:
     return bool(_NUMBER_RE.fullmatch(tok))
 
 
-def _strip_punct(t: Tree, punct_labels: frozenset[str]) -> Optional[Tree]:
+def _strip_punct(t: Tree) -> Optional[Tree]:
     """``t`` without punctuation preterminals; ``t`` itself when none is under it."""
     if t.is_preterminal:
-        return None if t.label in punct_labels else t
+        return None if t.label in PUNCT_LABELS else t
     kept = []
     for child in t.children:
-        sub = child if child.is_leaf else _strip_punct(child, punct_labels)
+        sub = child if child.is_leaf else _strip_punct(child)
         if sub is not None:
             kept.append(sub)
     if not kept:
@@ -320,8 +305,8 @@ def speech_normalize(
     """Normalize a corpus for speech-style language modelling.
 
     Punctuation preterminals are deleted (parents emptied by the deletion
-    go with them), digit tokens fold to ``cfg.number_token``, and tokens
-    outside the ``cfg.vocab_cap`` most frequent become ``cfg.unk_token``.
+    go with them), digit tokens fold to NUMBER_TOKEN, and tokens outside
+    the ``cfg.vocab_cap`` most frequent become UNK_TOKEN.
     Pass ``keep_tokens`` (a training vocabulary) when normalizing heldout
     or test corpora so the closure matches training.  Subtrees nothing
     changes under are shared with the input, not copied.  Idempotent:
@@ -331,37 +316,35 @@ def speech_normalize(
     trees = []
     for idx, t in enumerate(corpus.trees):
         if cfg.strip_punctuation:
-            t = _strip_punct(t, cfg.punct_labels)
+            t = _strip_punct(t)
             if t is None:
                 raise TreebankError(f"tree {idx}: normalization emptied the yield")
-        t = _map_leaves(t, lambda tok: cfg.number_token if is_number_token(tok) else tok)
+        t = _map_leaves(t, lambda tok: NUMBER_TOKEN if is_number_token(tok) else tok)
         trees.append(t)
 
-    reserved = cfg.reserved_tokens()
     if keep_tokens is None:
         counts: dict[str, int] = {}
         for t in trees:
             for tok in t.yield_tokens():
                 counts[tok] = counts.get(tok, 0) + 1
         ranked = sorted(
-            (tok for tok in counts if tok not in reserved),
+            (tok for tok in counts if tok not in RESERVED_TOKENS),
             key=lambda tok: (-counts[tok], tok),
         )
         keep_tokens = frozenset(ranked[: cfg.vocab_cap])
 
     def closed(tok: str) -> str:
-        return tok if tok in keep_tokens or tok in reserved else cfg.unk_token
+        return tok if tok in keep_tokens or tok in RESERVED_TOKENS else UNK_TOKEN
 
     trees = [_map_leaves(t, closed) for t in trees]
     vocab = {tok for t in trees for tok in t.yield_tokens()}
-    vocab.update({cfg.end_token, cfg.unk_token})
+    vocab.update({END_TOKEN, UNK_TOKEN})
     return Corpus(tuple(trees), frozenset(vocab), corpus.role)
 
 
 def normalize_tokens(
     tokens: Sequence[str],
     vocabulary: frozenset[str],
-    cfg: NormalizationConfig,
     allow_unk: bool = True,
 ) -> list[str]:
     """Map a raw sentence onto the model vocabulary.
@@ -371,14 +354,14 @@ def normalize_tokens(
     """
     out = []
     for tok in tokens:
-        if tok in (cfg.end_token, cfg.unk_token):
+        if tok in (END_TOKEN, UNK_TOKEN):
             raise TreebankError(f"reserved token {tok!r} in input sentence")
         if is_number_token(tok):
-            tok = cfg.number_token
+            tok = NUMBER_TOKEN
         if tok not in vocabulary:
             if not allow_unk:
                 raise TreebankError(f"token {tok!r} outside the closed vocabulary")
-            tok = cfg.unk_token
+            tok = UNK_TOKEN
         out.append(tok)
     return out
 

@@ -165,11 +165,11 @@ def test_parse_names_file_and_field_of_bad_norm_value(g1_model_path, tmp_path, c
         ("lap occ NP 5", ["lap occ NP 5 9"], r":\d+: malformed line: lap occ NP 5 9"),
         ("rule 2 lex DT the", ["rule 2 lex DT the x"], r":\d+: malformed line: rule 2 lex DT the x"),
         ("vocab the", ["vocab the extra"], r":\d+: malformed line: vocab the extra"),
-        ("cond conj CC", ["cond conj CC DT"], r":\d+: malformed line: cond conj CC DT"),
-        ("norm unk_token <unk>", ["norm unk_token <unk> x"], r":\d+: malformed line: norm unk_token <unk> x"),
+        ("cond conj CC", ["cond conj CC DT"], r":\d+: not one of the fixed cond rows: cond conj CC DT"),
+        ("norm unk_token <unk>", ["norm unk_token <unk> x"], r":\d+: not one of the fixed norm rows: norm unk_token <unk> x"),
         ("ctx 2 =DT =NP _ 0 2", ["ctx 2 =DT =NP _ 0 2 7"], r":\d+: malformed line: ctx 2 =DT =NP _ 0 2 7"),
         ("ngram count 1 <s> Spot 3", ["ngram count 1 <s> Spot 3 1"], r":\d+: malformed line: ngram count 1 <s> Spot 3 1"),
-        ("head TOP left", ["head TOP rigth"], r":\d+: head direction 'rigth' is not left or right"),
+        ("head TOP left", ["head TOP rigth"], r":\d+: not one of the fixed head rows: head TOP rigth"),
         ("lap occ NP 5", ["lap occ NP 6"], r": lap occ counts differ from the rule counts"),
         ("lap pw DT the 2", ["lap pw DT the 3"], r": lap pw counts differ from the rule counts"),
         ("lap eps NP-NN 3", [], r": lap eps counts differ from the rule counts"),
@@ -189,6 +189,31 @@ def test_parse_names_file_and_field_of_bad_norm_value(g1_model_path, tmp_path, c
         ("ngram lam 1 2 0.999999", ["ngram lam 1 2 nan"], r":\d+: interpolation weight nan is not in \[0, 1\)"),
         ("ngram lam 1 2 0.999999", ["ngram lam 1 2 -3.0"], r":\d+: interpolation weight -3\.0 is not in \[0, 1\)"),
         ("ngram lam 1 2 0.999999", ["ngram lam 1 2 0.999999"] * 2, r":\d+: repeated interpolation weight row"),
+        # weight keys a path or the n-gram order never reads
+        ("clam left 1 1 0.999999", ["clam left 1 1 0.999999", "clam left 9 9 0.5"], r":\d+: clam level 9 is outside 1\.\.6"),
+        ("clam left 1 1 0.999999", ["clam left 1 1 0.999999", "clam right 0 3 0.5"], r":\d+: clam level 0 is outside 1\.\.4"),
+        ("clam left 1 1 0.999999", ["clam left 1 1 0.999999", "clam middle 1 7 0.5"], r":\d+: clam bucket 7 is outside 0\.\.5"),
+        ("ngram lam 1 2 0.999999", ["ngram lam 1 2 0.999999", "ngram lam 3 1 0.5"], r":\d+: ngram lam level 3 is outside 1\.\.2"),
+        ("ngram lam 1 2 0.999999", ["ngram lam 1 2 0.999999", "ngram lam 0 1 0.5"], r":\d+: ngram lam level 0 is outside 1\.\.2"),
+        # the fixed protocol rows
+        ("head NP right NN NNP NNPS NNS NX POS JJR N NP PRP CD JJ", ["head NP left DT"], r":\d+: not one of the fixed head rows: head NP left DT"),
+        ("norm end_token </s>", ["norm end_token <end>"], r":\d+: not one of the fixed norm rows: norm end_token <end>"),
+        ("cond conj CC", ["cond conj DT"], r":\d+: not one of the fixed cond rows: cond conj DT"),
+        ("head S left VP S SBAR SINV ADJP UCP NP", [], r": missing row: head S left VP S SBAR SINV ADJP UCP NP"),
+        ("norm punct_label .", [], r": missing row: norm punct_label \."),
+        ("norm punct_label .", ["norm punct_label ."] * 2, r":\d+: repeated row"),
+        ("head TOP left", ["head TOP left"] * 2, r":\d+: repeated row"),
+        # records a model file holds once
+        ("norm strip_punctuation 1", ["norm strip_punctuation 1", "norm strip_punctuation 0"], r":\d+: repeated row"),
+        ("norm vocab_cap 10000", ["norm vocab_cap 10000"] * 2, r":\d+: repeated row"),
+        ("grammar start TOP", ["grammar start TOP", "grammar start S"], r":\d+: repeated row"),
+        ("cond config 6 5 4", ["cond config 6 5 4"] * 2, r":\d+: repeated row"),
+        ("lap k 5", ["lap k 5", "lap k 50"], r":\d+: repeated row"),
+        ("ngram order 3", ["ngram order 3"] * 2, r":\d+: repeated row"),
+        ("rule 2 lex DT the", ["rule 2 lex DT the", "rule 3 lex DT the"], r":\d+: repeated row"),
+        ("vocab the", ["vocab the"] * 2, r":\d+: repeated row"),
+        ("lap k 5", [], r": missing row: lap k"),
+        ("cond config 6 5 4", ["cond config 7 5 4"], r":\d+: cond config depths exceed 6 5 4"),
     ],
 )
 def test_parse_names_file_of_bad_model(g1_model_path, tmp_path, capsys, line, replacement, message):

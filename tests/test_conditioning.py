@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from support import as_corpus, factored_corpus, fixture_trees, random_corpus
 from tdparse.conditioning import (
-    DEFAULT_HEAD_TABLE,
     LAMBDA_CAP,
     LEFT,
     MIDDLE,
@@ -101,22 +100,22 @@ def test_replay_yields_state_before_rule(g1_trees):
 
 def test_head_percolation():
     np = Tree("NP", (_pt("DT", "the"), _pt("NN", "dog")))
-    assert head_of(np, DEFAULT_HEAD_TABLE) == ("dog", "NN")
+    assert head_of(np) == ("dog", "NN")
     vp = Tree("VP", (_pt("VBD", "chased"), np))
-    assert head_of(vp, DEFAULT_HEAD_TABLE) == ("chased", "VBD")
+    assert head_of(vp) == ("chased", "VBD")
     # unknown label: fall back to scanning from the left
     misc = Tree("FOO", (_pt("A", "x"), _pt("B", "y")))
-    assert head_of(misc, DEFAULT_HEAD_TABLE) == ("x", "A")
-    assert head_of(_pt("NN", "dog"), DEFAULT_HEAD_TABLE) == ("dog", "NN")
+    assert head_of(misc) == ("x", "A")
+    assert head_of(_pt("NN", "dog")) == ("dog", "NN")
 
 
 def test_open_constituent_head():
-    assert open_constituent_head("NP", (), DEFAULT_HEAD_TABLE) is None
+    assert open_constituent_head("NP", ()) is None
     the = _pt("DT", "the")
     cat = _pt("NN", "cat")
     # no priority hit yet: the newest child stands proxy
-    assert open_constituent_head("NP", (the,), DEFAULT_HEAD_TABLE) == ("the", "DT")
-    assert open_constituent_head("NP", (the, cat), DEFAULT_HEAD_TABLE) == ("cat", "NN")
+    assert open_constituent_head("NP", (the,)) == ("the", "DT")
+    assert open_constituent_head("NP", (the, cat)) == ("cat", "NN")
 
 
 def test_c_command_heads_nearest_first():
@@ -124,7 +123,7 @@ def test_c_command_heads_nearest_first():
     s = SpineNode("S", (subj,), None)
     vp = SpineNode("VP", (_pt("VBD", "chased"),), s)
     obj = SpineNode("NP", (_pt("NN", "cat"),), vp)
-    assert list(c_command_heads(obj, DEFAULT_HEAD_TABLE)) == [
+    assert list(c_command_heads(obj)) == [
         ("cat", "NN"),
         ("chased", "VBD"),
         ("dog", "NN"),

@@ -185,7 +185,7 @@ def test_load_requires_every_norm_field(g1_model, tmp_path):
     path = _tampered(
         g1_model, tmp_path, lambda lines: [l for l in lines if not l.startswith("norm vocab_cap ")]
     )
-    with pytest.raises(ModelIOError, match="missing norm field 'vocab_cap'"):
+    with pytest.raises(ModelIOError, match="missing row: norm vocab_cap"):
         load_model(path)
 
 
@@ -306,24 +306,38 @@ NUMBER = re.compile(r"-?\d+(\.\d+)?(e[-+]?\d+)?")
 
 @pytest.fixture(scope="module")
 def g1_saved(g1_model, tmp_path_factory):
-    """Saved g1 lines, (line, field) positions of its numeric fields, and a scratch path."""
+    """Saved g1 lines, the field edits (positions, values) to draw, and a scratch path.
+
+    Numbers are replaced anywhere; any field after the first of a fixed
+    protocol row (head, norm, cond conj) is rewritten."""
     path = tmp_path_factory.mktemp("fuzz") / "g1.model"
     save_model(g1_model.model, str(path))
     lines = path.read_text().splitlines()
     numeric = [(i, j) for i, l in enumerate(lines) for j, f in enumerate(l.split()) if NUMBER.fullmatch(f)]
-    return lines, numeric, path.with_name("mutated.model")
+    protocol = [
+        (i, j)
+        for i, l in enumerate(lines)
+        if l.startswith(("head ", "norm ", "cond conj "))
+        for j in range(1, len(l.split()))
+    ]
+    edits = {
+        "replace number": (numeric, ["x", "-1", str(10**9)]),
+        "rewrite field": (protocol, ["DT", "left", "right", "<end>", "0", "CC"]),
+    }
+    return lines, edits, path.with_name("mutated.model")
 
 
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_mutated_model_raises_model_io_error_or_loads(g1_saved, data):
-    lines, numeric, path = g1_saved
+    lines, edits, path = g1_saved
     lines = list(lines)
-    op = data.draw(st.sampled_from(["delete", "duplicate", "drop last field", "replace number"]))
-    if op == "replace number":
-        i, j = data.draw(st.sampled_from(numeric))
+    op = data.draw(st.sampled_from(["delete", "duplicate", "drop last field", *edits]))
+    if op in edits:
+        positions, values = edits[op]
+        i, j = data.draw(st.sampled_from(positions))
         parts = lines[i].split()
-        parts[j] = data.draw(st.sampled_from(["x", "-1", str(10**9)]))
+        parts[j] = data.draw(st.sampled_from(values))
         lines[i] = " ".join(parts)
     else:
         i = data.draw(st.integers(0, len(lines) - 1))
@@ -335,6 +349,11 @@ def test_mutated_model_raises_model_io_error_or_loads(g1_saved, data):
             lines[i] = " ".join(lines[i].split()[:-1])
     path.write_text("\n".join(lines) + "\n")
     try:
-        load_model(str(path))
+        model = load_model(str(path))
     except ModelIOError as exc:
         assert str(exc).startswith(f"{path}:")
+    else:
+        # A model that loads is exactly what its file says: saving it writes the same text.
+        resaved = path.with_name("resaved.model")
+        save_model(model, str(resaved))
+        assert resaved.read_text() == path.read_text()

@@ -9,6 +9,7 @@ from tdparse import treebank
 from tdparse.treebank import (
     AXIOM,
     END_TOKEN,
+    PUNCT_LABELS,
     STOP_LABEL,
     Corpus,
     NormalizationConfig,
@@ -232,20 +233,18 @@ def test_speech_normalize_keep_tokens_matches_training():
 def test_normalization_config_validation():
     with pytest.raises(TreebankError):
         NormalizationConfig(vocab_cap=0)
-    with pytest.raises(TreebankError):
-        NormalizationConfig(unk_token="<e>", end_token="<e>")
 
 
 def test_normalize_tokens_paths():
     cfg = NormalizationConfig()
     vocab = frozenset({"the", "dog", "N", cfg.unk_token, cfg.end_token})
-    assert normalize_tokens(["the", "dog"], vocab, cfg) == ["the", "dog"]
-    assert normalize_tokens(["the", "cat"], vocab, cfg) == ["the", cfg.unk_token]
-    assert normalize_tokens(["40", "dogs"], vocab, cfg) == ["N", cfg.unk_token]
+    assert normalize_tokens(["the", "dog"], vocab) == ["the", "dog"]
+    assert normalize_tokens(["the", "cat"], vocab) == ["the", cfg.unk_token]
+    assert normalize_tokens(["40", "dogs"], vocab) == ["N", cfg.unk_token]
     with pytest.raises(TreebankError, match="reserved"):
-        normalize_tokens([cfg.end_token], vocab, cfg)
+        normalize_tokens([cfg.end_token], vocab)
     with pytest.raises(TreebankError, match="closed vocabulary"):
-        normalize_tokens(["cat"], vocab, cfg, allow_unk=False)
+        normalize_tokens(["cat"], vocab, allow_unk=False)
 
 
 def test_read_sentences_skips_blank_lines(tmp_path):
@@ -262,16 +261,16 @@ def test_readers_name_a_file_that_is_not_utf8(tmp_path):
             read(str(p))
 
 
-def _rebuilding_strip_punct(t, punct_labels):
+def _rebuilding_strip_punct(t):
     """Reference: punctuation stripping that copies every node it keeps."""
     if t.is_preterminal:
-        return None if t.label in punct_labels else t
+        return None if t.label in PUNCT_LABELS else t
     kept = []
     for child in t.children:
         if child.is_leaf:
             kept.append(child)
             continue
-        sub = _rebuilding_strip_punct(child, punct_labels)
+        sub = _rebuilding_strip_punct(child)
         if sub is not None:
             kept.append(sub)
     if not kept:
