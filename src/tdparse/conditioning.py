@@ -30,6 +30,16 @@ on heldout derivations.
 
 The head percolation rules (HEAD_TABLE) and the conjunction label
 (CONJ_LABEL) are fixed parts of the model, not settings.
+
+A score depends on the site (path, values) alone, and a parse meets a
+few hundred sites in tens of thousands of pops.  So each model keeps, in
+``site_scores``, one scoring function per site, keyed by (path, values),
+and each function keeps the log probability of every rule id it has
+scored.  Every write through ``add`` and every assignment to ``lambdas``
+empties ``site_scores``; a write straight into ``tables``, ``totals`` or
+the weight dict does not, so make those before the first score.  The
+dict holds at most SITE_CACHE_CAP sites and is dropped whole when full:
+sites carry head words, so their number grows with the vocabulary.
 """
 
 from __future__ import annotations
@@ -58,6 +68,10 @@ BUCKET_EDGES = (1, 2, 5, 10, 100)
 # bucket; keep a sliver of backoff so unseen events never get probability 0.
 LAMBDA_CAP = 1.0 - 1e-6
 
+# Most sites a model keeps scoring functions for: about 25 times the 650 or
+# so that one pass of the benchmark's 3,000-noun lexicon workload meets.
+SITE_CACHE_CAP = 2**14
+
 
 class ConditioningError(ValueError):
     pass
@@ -79,11 +93,24 @@ class InterpolationTable:
     def __init__(self, levels: int):
         self.tables: list[dict[tuple, dict]] = [{} for _ in range(levels)]
         self.totals: list[dict[tuple, int]] = [{} for _ in range(levels)]
-        # tie + (level, bucket) -> weight on the level's own estimate.
-        self.lambdas: dict[tuple, float] = {}
+        # site -> its memoized scoring function; see the module docstring.
+        self.site_scores: dict[tuple, Callable] = {}
+        self.lambdas = {}
+
+    @property
+    def lambdas(self) -> dict[tuple, float]:
+        """tie + (level, bucket) -> weight on the level's own estimate."""
+        return self._lambdas
+
+    @lambdas.setter
+    def lambdas(self, weights: dict[tuple, float]) -> None:
+        self._lambdas = weights
+        self.site_scores.clear()
 
     def add(self, level: int, key: tuple, outcome, n: int = 1) -> int:
         """Count ``n`` more of ``outcome`` after ``key``; returns its new count."""
+        if self.site_scores:
+            self.site_scores.clear()
         counts = self.tables[level].setdefault(key, {})
         counts[outcome] = new = counts.get(outcome, 0) + n
         self.totals[level][key] = self.totals[level].get(key, 0) + n
@@ -442,15 +469,18 @@ class ContextModel(InterpolationTable):
     def scorer(self, spine: Optional[SpineNode], lhs: str) -> Callable[[int], float]:
         """A log-probability function over rule ids for one expansion site.
 
-        With depth 0 there are no levels and the partial tree is never walked.
+        The site's function is built on its first call and kept in
+        ``site_scores``; it computes each rule id's log probability once.  With
+        depth 0 there are no levels and the partial tree is never walked.
         """
-        path, values = self.extract_values(spine, lhs) if self.config.max_depth else (LEFT, (lhs,))
-        prob = self.estimator((path,), values[:1], self._levels(values))
-
-        def score(rid: int) -> float:
-            p = prob(rid)
-            return math.log(p) if p > 0.0 else -math.inf
-
+        site = self.extract_values(spine, lhs) if self.config.max_depth else (LEFT, (lhs,))
+        score = self.site_scores.get(site)
+        if score is None:
+            if len(self.site_scores) >= SITE_CACHE_CAP:
+                self.site_scores.clear()
+            path, values = site
+            prob = self.estimator((path,), values[:1], self._levels(values))
+            score = self.site_scores[site] = _LogProbs(prob).__getitem__
         return score
 
     def rule_logprob(self, spine: Optional[SpineNode], rule: Rule) -> float:
@@ -458,6 +488,21 @@ class ContextModel(InterpolationTable):
         if rid is None:
             return -math.inf
         return self.scorer(spine, rule.lhs)(rid)
+
+
+class _LogProbs(dict):
+    """rule id -> log probability at one site, each computed on first lookup."""
+
+    __slots__ = ("prob",)
+
+    def __init__(self, prob: Callable[[int], float]):
+        super().__init__()
+        self.prob = prob
+
+    def __missing__(self, rid: int) -> float:
+        p = self.prob(rid)
+        lp = self[rid] = math.log(p) if p > 0.0 else -math.inf
+        return lp
 
 
 def tune_interpolation(

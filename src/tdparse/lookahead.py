@@ -19,6 +19,14 @@ erases, which is what remains once every input word is consumed.
 
 These numbers rank analyses only; derivation probabilities never include
 them.  No flooring happens here, callers clamp as they see fit.
+
+A parse asks for P(w | A) of the same few (symbol, word) pairs over and
+over, so ``word_prob`` keeps each value it computes in ``word_probs``,
+keyed by (symbol, word).  The memo empties whenever the tables change:
+when ``_walk`` counts a tree, and when any attribute is assigned, as the
+model loader does with the first-word and first-preterminal counts.  It
+has no cap: callers that map words onto the model vocabulary first, as
+the command line does, keep it within symbols times vocabulary.
 """
 
 from __future__ import annotations
@@ -43,6 +51,7 @@ class LookaheadTables:
     def __init__(self, grammar: Pcfg, smoothing_k: int = 5):
         if smoothing_k < 0:
             raise LookaheadError("smoothing_k must be nonnegative")
+        self.word_probs: dict[tuple[str, str], float] = {}
         self.smoothing_k = smoothing_k
         self.occurrences: dict[str, int] = dict(grammar.lhs_counts)
         self.first_word: dict[str, dict[str, int]] = {}
@@ -56,6 +65,12 @@ class LookaheadTables:
             elif not rule.rhs:
                 self.erased[rule.lhs] = n
         self.pos_total: dict[str, int] = {pos: sum(words.values()) for pos, words in self.pos_word.items()}
+
+    def __setattr__(self, name: str, value) -> None:
+        # word_prob reads every table, so replacing one empties its memo.
+        if name != "word_probs":
+            self.word_probs.clear()
+        super().__setattr__(name, value)
 
     @classmethod
     def from_trees(cls, grammar: Pcfg, trees: Iterable[Tree], smoothing_k: int = 5) -> "LookaheadTables":
@@ -80,6 +95,8 @@ class LookaheadTables:
                 if first is None:
                     first = r
         if first is not None:
+            if self.word_probs:
+                self.word_probs.clear()
             word, pos = first
             fw = self.first_word.setdefault(t.label, {})
             fw[word] = fw.get(word, 0) + 1
@@ -89,6 +106,12 @@ class LookaheadTables:
 
     def word_prob(self, symbol: str, word: str) -> float:
         """Probability that ``symbol`` expands to a yield starting with ``word``."""
+        p = self.word_probs.get((symbol, word))
+        if p is None:
+            p = self.word_probs[symbol, word] = self._word_prob(symbol, word)
+        return p
+
+    def _word_prob(self, symbol: str, word: str) -> float:
         occ = self.occurrences.get(symbol, 0)
         if not occ:
             return 0.0

@@ -28,7 +28,9 @@ only rule that can rewrite the one as the other, so the cost of a pop
 does not grow with the vocabulary.  The lexical successor is handled
 first.  That moves no output: it only adds a goal, while mid-sentence a
 phrasal successor only feeds the heap, and at the end of input no
-lexical rule applies.
+lexical rule applies.  Rule scores and look-ahead word probabilities are
+read from caches that the context model and the look-ahead tables keep
+per model (see conditioning.py and lookahead.py).
 
 While words remain, the kernel also drops every analysis whose stack
 cannot derive a string that starts with the current word (a left-corner

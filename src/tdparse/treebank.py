@@ -342,15 +342,11 @@ def speech_normalize(
     return Corpus(tuple(trees), frozenset(vocab), corpus.role)
 
 
-def normalize_tokens(
-    tokens: Sequence[str],
-    vocabulary: frozenset[str],
-    allow_unk: bool = True,
-) -> list[str]:
+def normalize_tokens(tokens: Sequence[str], vocabulary: frozenset[str]) -> list[str]:
     """Map a raw sentence onto the model vocabulary.
 
     Reserved tokens may not appear in the input; out-of-vocabulary tokens
-    become the unknown token, or raise when ``allow_unk`` is off.
+    become the unknown token.
     """
     out = []
     for tok in tokens:
@@ -359,8 +355,6 @@ def normalize_tokens(
         if is_number_token(tok):
             tok = NUMBER_TOKEN
         if tok not in vocabulary:
-            if not allow_unk:
-                raise TreebankError(f"token {tok!r} outside the closed vocabulary")
             tok = UNK_TOKEN
         out.append(tok)
     return out

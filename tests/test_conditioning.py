@@ -259,6 +259,52 @@ def test_tuned_model_still_proper(g1_model, g1_trees):
     assert checked > 50
 
 
+def _site_scores(cm, expansions):
+    """Every rule's score at every expansion site of ``expansions``."""
+    return [
+        [cm.scorer(spine, rule.lhs)(rid) for _, rid, _ in cm.grammar.expansions(rule.lhs)]
+        for spine, rule in expansions
+    ]
+
+
+def _rebuilt(cm):
+    """A model that never scored anything, with ``cm``'s counts and weights."""
+    fresh = ContextModel(cm.grammar, cm.config)
+    for level, table in enumerate(cm.tables):
+        for key, counts in table.items():
+            for rid, n in counts.items():
+                fresh.add(level, key, rid, n)
+    fresh.lambdas = dict(cm.lambdas)
+    return fresh
+
+
+def _add_one_count(cm, fact):
+    cm.add(0, ("NP",), cm.grammar.rule_ids[Rule("NP", ("NN", "NP-NN"), False)])
+
+
+def _refit(cm, fact):
+    cm.tune_mix_weights(fact)
+
+
+def _assign_weights(cm, fact):
+    cm.lambdas = {key: lam / 2 for key, lam in cm.lambdas.items()}
+
+
+@pytest.mark.parametrize("write", [_add_one_count, _refit, _assign_weights])
+def test_writes_empty_the_site_cache(g1, write):
+    grammar, _, fact = g1
+    cm = ContextModel(grammar, CondConfig())
+    cm.train_counts(fact)
+    if write is not _refit:
+        cm.tune_mix_weights(fact)
+    expansions = list(replay(fact))
+    before = _site_scores(cm, expansions)
+    write(cm, fact)
+    after = _site_scores(cm, expansions)
+    assert after == _site_scores(_rebuilt(cm), expansions)
+    assert after != before
+
+
 def test_tune_mix_weights_on_g1(g1):
     grammar, _, fact = g1
     cm = ContextModel(grammar, CondConfig())

@@ -139,3 +139,36 @@ def test_constructor_validation():
         LookaheadTables(grammar, smoothing_k=-1)
     with pytest.raises(LookaheadError, match="no constituents"):
         LookaheadTables.from_trees(grammar, [])
+
+
+def _word_probs(tables, words):
+    return {(sym, w): tables.word_prob(sym, w) for sym in tables.occurrences for w in words}
+
+
+def test_walk_empties_the_word_prob_memo(g1_trees):
+    factored = factored_corpus(g1_trees)
+    grammar = induce_pcfg(factored, AXIOM)
+    tables = LookaheadTables.from_trees(grammar, factored[1:])
+    words = sorted({w for t in factored for w in t.yield_tokens()})
+    before = _word_probs(tables, words)
+    tables._walk(factored[0])
+    after = _word_probs(tables, words)
+    assert after == _word_probs(LookaheadTables.from_trees(grammar, factored), words)
+    assert after != before
+
+
+@pytest.mark.parametrize("attr", ["first_word", "first_pos"])
+def test_table_assignment_empties_the_word_prob_memo(g1_trees, attr):
+    """The model loader sets the first-word and first-tag counts by assignment."""
+    factored = factored_corpus(g1_trees)
+    grammar = induce_pcfg(factored, AXIOM)
+    tables = LookaheadTables.from_trees(grammar, factored[1:])
+    full = LookaheadTables.from_trees(grammar, factored)
+    words = sorted({w for t in factored for w in t.yield_tokens()})
+    before = _word_probs(tables, words)
+    setattr(tables, attr, getattr(full, attr))
+    after = _word_probs(tables, words)
+    fresh = LookaheadTables(grammar)
+    fresh.first_word, fresh.first_pos = tables.first_word, tables.first_pos
+    assert after == _word_probs(fresh, words)
+    assert after != before

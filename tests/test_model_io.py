@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from support import as_corpus, fixture_trees, reference_unigram
-from tdparse.conditioning import replay
+from tdparse.conditioning import ContextModel, replay
 from tdparse.grammar import Rule, left_factor_tree
 from tdparse.langmodel import sentences_from_trees
+from tdparse.lookahead import LookaheadTables
 from tdparse.model_io import (
     FORMAT_VERSION,
     ModelIOError,
@@ -104,6 +105,37 @@ def test_loaded_model_scores_identically(g1_model, tmp_path):
     ctx = ("the", "dog")
     for w in orig.ngram.vocabulary:
         assert loaded.ngram.word_prob(ctx, w) == orig.ngram.word_prob(ctx, w)
+
+
+def test_load_empties_caches_filled_before_its_writes(g1_model, tmp_path, monkeypatch):
+    """Scores read from a model before the loader fills its tables are not kept."""
+    path = tmp_path / "g1.model"
+    save_model(g1_model.model, str(path))
+    orig = g1_model.model
+    fact = [left_factor_tree(augment_with_stop(t)) for t in fixture_trees("g1.trees")]
+    expansions = list(replay(fact))
+    pairs = [(sym, w) for sym in orig.lookahead.occurrences for w in ("Spot", "the", "ran")]
+
+    def context_scores(context):
+        return [context.rule_logprob(spine, rule) for spine, rule in expansions]
+
+    def lookahead_probs(tables):
+        return [tables.word_prob(sym, w) for sym, w in pairs]
+
+    def scored_on_creation(cls, read):
+        init = cls.__init__
+
+        def __init__(self, *args):
+            init(self, *args)
+            read(self)
+
+        monkeypatch.setattr(cls, "__init__", __init__)
+
+    scored_on_creation(ContextModel, context_scores)
+    scored_on_creation(LookaheadTables, lookahead_probs)
+    loaded = load_model(str(path))
+    assert context_scores(loaded.context) == context_scores(orig.context)
+    assert lookahead_probs(loaded.lookahead) == lookahead_probs(orig.lookahead)
 
 
 def test_loaded_model_parses_identically(g1_model, tmp_path):

@@ -9,7 +9,9 @@ from hypothesis import given, settings, strategies as st
 from support import build_parser, fixture_sentences, fixture_trees, random_corpus
 from tdparse.grammar import left_factor_tree, log_tree_probability, unfactor_tree
 from tdparse.oracle import derivation_tree, enumerate_derivations
-from tdparse.conditioning import apply_rule
+from tdparse import conditioning
+from tdparse.conditioning import LEFT, apply_rule
+from tdparse.lookahead import LookaheadTables
 from tdparse.parser import Analysis, BeamParser, ParseError, ParserConfig, beam_threshold, queue_mass
 from tdparse.treebank import END_TOKEN, augment_with_stop, parse_trees
 
@@ -417,6 +419,7 @@ def _same_search(parser, reference, words):
     got, want = parser.parse(words), reference.parse(words)
     assert got.masses == want.masses
     assert [(c.logp, c.rules) for c in got.completed] == [(c.logp, c.rules) for c in want.completed]
+    assert [c.tree for c in got.completed] == [c.tree for c in want.completed]
     assert got.tree == want.tree and got.failed == want.failed
     assert (got.pops, got.pushes) == (want.pops, want.pushes)
 
@@ -486,3 +489,118 @@ def test_lexical_index_and_phrasal_rules_partition_expansions(desk):
             assert list(phrasal) == [(r, rid) for r, rid, _ in expansions if not r.lexical]
             # Together, and with no rule twice, they are every expansion.
             assert sorted(phrasal + tuple(lexical[lhs]), key=lambda e: e[1]) == [(r, rid) for r, rid, _ in expansions]
+
+
+class UncachedContext:
+    """Rule scoring before the per-site cache: a fresh estimator on every call.
+
+    The reference the cached ``ContextModel.scorer`` must match; it reads
+    the same tables and weights.
+    """
+
+    def __init__(self, context):
+        self.context = context
+        self.grammar = context.grammar
+
+    def scorer(self, spine, lhs):
+        c = self.context
+        path, values = c.extract_values(spine, lhs) if c.config.max_depth else (LEFT, (lhs,))
+        prob = c.estimator((path,), values[:1], c._levels(values))
+
+        def score(rid):
+            p = prob(rid)
+            return math.log(p) if p > 0.0 else -math.inf
+
+        return score
+
+
+class UncachedLookahead(LookaheadTables):
+    """Look-ahead that recomputes P(word | symbol) from the counts on every call."""
+
+    word_prob = LookaheadTables._word_prob
+
+
+def _uncached_lookahead(tables, grammar):
+    """An ``UncachedLookahead`` holding ``tables``' counts, set as the model loader sets them."""
+    reference = UncachedLookahead(grammar, tables.smoothing_k)
+    reference.first_word, reference.first_pos = tables.first_word, tables.first_pos
+    return reference
+
+
+def _uncached(parser):
+    """``parser``'s kernel and config on scorers and look-ahead that cache nothing."""
+    return BeamParser(
+        parser.grammar,
+        UncachedContext(parser.context),
+        _uncached_lookahead(parser.lookahead, parser.grammar),
+        parser.config,
+    )
+
+
+@pytest.mark.parametrize("gamma", [1e-11, 1e-3])
+def test_cached_scores_match_uncached_kernel_on_desk(desk, gamma):
+    m = desk.models["all"]
+    parser = BeamParser(m.grammar, m.context, m.lookahead, ParserConfig(base_beam=gamma))
+    reference = _uncached(parser)
+    # The second pass reads only cached scores.
+    for words in desk.sents + desk.sents:
+        _same_search(parser, reference, words)
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(1, 8), seed=st.integers(0, 10_000))
+def test_cached_scores_match_uncached_kernel_on_random_grammars(n, seed):
+    trees = random_corpus(n, seed)
+    depths = (6, 5, 4)
+    try:
+        parser = build_parser(trees, depths, heldout=trees)
+    except ParseError:  # left recursion: exact mode would not terminate
+        parser = build_parser(trees, depths, base_beam=1e-11, heldout=trees, max_pops=500)
+    reference = _uncached(parser)
+    sents = [t.yield_tokens() + [END_TOKEN] for t in trees if len(t.yield_tokens()) <= 5][:3]
+    sents += [s[-2::-1] + [END_TOKEN] for s in sents[:1]]    # reversed, often ungrammatical
+    for words in sents + sents:
+        _same_search(parser, reference, words)
+
+
+def test_memoized_lookahead_matches_recomputation(desk):
+    m = desk.models["all"]
+    tables = m.lookahead
+    reference = _uncached_lookahead(tables, m.grammar)
+    symbols = sorted(tables.occurrences)
+    words = sorted({w for emitted in tables.pos_word.values() for w in emitted}) + [None]
+    stacks = [[sym] for sym in symbols] + [list(r.rhs) for r in m.grammar.rules if len(r.rhs) == 2]
+    for _ in range(2):  # cold, then from the memo
+        for sym in symbols:
+            for word in words[:-1]:
+                assert tables.word_prob(sym, word) == reference.word_prob(sym, word)
+        for stack in stacks:
+            for word in words:
+                assert tables.stack_prob(stack, word) == reference.stack_prob(stack, word)
+
+
+class CappedContext:
+    """The cached scorer, checking after every call that the site dict keeps to its cap."""
+
+    def __init__(self, context):
+        self.context = context
+        self.grammar = context.grammar
+        self.largest = 0
+
+    def scorer(self, spine, lhs):
+        score = self.context.scorer(spine, lhs)
+        self.largest = max(self.largest, len(self.context.site_scores))
+        assert self.largest <= conditioning.SITE_CACHE_CAP
+        return score
+
+
+def test_site_cache_cap_changes_no_output(desk, monkeypatch):
+    monkeypatch.setattr(conditioning, "SITE_CACHE_CAP", 4)
+    m = desk.models["all"]
+    m.context.site_scores.clear()    # other tests filled it under the real cap
+    reference = _uncached(BeamParser(m.grammar, m.context, m.lookahead))
+    capped = CappedContext(m.context)
+    parser = BeamParser(m.grammar, capped, m.lookahead)
+    for words in desk.sents:
+        _same_search(parser, reference, words)
+    assert capped.largest == 4

@@ -243,8 +243,6 @@ def test_normalize_tokens_paths():
     assert normalize_tokens(["40", "dogs"], vocab) == ["N", cfg.unk_token]
     with pytest.raises(TreebankError, match="reserved"):
         normalize_tokens([cfg.end_token], vocab)
-    with pytest.raises(TreebankError, match="closed vocabulary"):
-        normalize_tokens(["cat"], vocab, allow_unk=False)
 
 
 def test_read_sentences_skips_blank_lines(tmp_path):
