@@ -418,6 +418,23 @@ class ContextModel(InterpolationTable):
             values = (lhs, parent, y_s, heads[0][0] if heads else None, heads[1][0] if len(heads) > 1 else None)
         return path, values[: self.config.depth_for(path) + 1]
 
+    def counts_go_deeper(self, level: int, key: tuple) -> bool:
+        """Whether every expansion counted under ``key`` at ``level`` also counts at ``level`` + 1.
+
+        An expansion counts at the levels up to its path's depth.  The key
+        shows the path: its lhs tells the left path from the preterminal
+        ones, and from level 2 on its sibling value tells the middle path
+        (None) from the right one.
+        """
+        c = self.config
+        if key[0] not in self.grammar.preterminals:
+            depth = c.phrasal_depth
+        elif level >= 2:
+            depth = c.first_pos_depth if key[2] is None else c.later_pos_depth
+        else:
+            depth = min(c.first_pos_depth, c.later_pos_depth)
+        return depth > level
+
     @staticmethod
     def _levels(values: tuple) -> list[tuple[int, tuple]]:
         """(level, value prefix) above the base; a NULL value adds no step."""

@@ -46,11 +46,6 @@ def is_factored(label: str) -> bool:
     return FACTOR_SEP in label
 
 
-def constituent_of(label: str) -> str:
-    """The original nonterminal a (possibly factored) label belongs to."""
-    return label.split(FACTOR_SEP, 1)[0]
-
-
 class Rule(NamedTuple):
     lhs: str
     rhs: tuple[str, ...]
@@ -149,11 +144,16 @@ def tree_to_derivation(t: Tree) -> Iterator[Rule]:
 
 
 class Pcfg:
-    """A relative-frequency PCFG over factored rules.
+    """A relative-frequency PCFG over factored rules, and the one index of its rules.
 
-    ``by_lhs`` maps a nonterminal to its expansions as (rule, rule_id,
-    log probability) triples; rule ids are positions in the sorted rule
-    list and are stable across save/load.
+    Rule ids are positions in the sorted rule list, stable across
+    save/load.  One pass over it builds the tables that the parser, the
+    look-ahead and the model read instead of building their own:
+    ``by_lhs`` (lhs -> its (rule, rule id, log probability) triples),
+    ``lexical`` ((preterminal, word) -> (rule, rule id)), ``phrasal`` (lhs
+    -> its non-lexical (rule, rule id) pairs, empty for a pure
+    preterminal), ``word_pos`` (word -> its preterminals), ``pos_word``
+    (preterminal -> word -> count) and ``erased`` (lhs -> epsilon count).
     """
 
     def __init__(self, rule_counts: dict[Rule, int], start: str):
@@ -167,21 +167,33 @@ class Pcfg:
                 raise GrammarError(f"rule {rule.render()} has count {n}")
             self.lhs_counts[rule.lhs] = self.lhs_counts.get(rule.lhs, 0) + n
         self.rules: list[Rule] = sorted(rule_counts)
-        self.rule_ids: dict[Rule, int] = {r: i for i, r in enumerate(self.rules)}
-        self.preterminals = frozenset(r.lhs for r in self.rules if r.lexical)
-        self.vocabulary = frozenset(r.rhs[0] for r in self.rules if r.lexical)
-        self.by_lhs: dict[str, tuple[tuple[Rule, int, float], ...]] = {}
-        grouped: dict[str, list[tuple[Rule, int, float]]] = {}
-        for rule in self.rules:
-            logp = math.log(rule_counts[rule] / self.lhs_counts[rule.lhs])
-            grouped.setdefault(rule.lhs, []).append((rule, self.rule_ids[rule], logp))
-        self.by_lhs = {lhs: tuple(entries) for lhs, entries in grouped.items()}
         self._validate()
+        self.rule_ids = {rule: rid for rid, rule in enumerate(self.rules)}
+        self.lexical: dict[tuple[str, str], tuple[Rule, int]] = {}
+        self.pos_word: dict[str, dict[str, int]] = {}
+        self.erased: dict[str, int] = {}
+        by_lhs, phrasal, tags = {}, {}, {}
+        for rule, rid in self.rule_ids.items():
+            lhs, n = rule.lhs, rule_counts[rule]
+            by_lhs.setdefault(lhs, []).append((rule, rid, math.log(n / self.lhs_counts[lhs])))
+            expansions = phrasal.setdefault(lhs, [])
+            if rule.lexical:
+                self.lexical[lhs, rule.rhs[0]] = (rule, rid)
+                self.pos_word.setdefault(lhs, {})[rule.rhs[0]] = n
+                tags.setdefault(rule.rhs[0], set()).add(lhs)
+            else:
+                expansions.append((rule, rid))
+                if not rule.rhs:
+                    self.erased[lhs] = n
+        self.by_lhs = {lhs: tuple(entries) for lhs, entries in by_lhs.items()}
+        self.phrasal = {lhs: tuple(entries) for lhs, entries in phrasal.items()}
+        self.word_pos = {word: frozenset(pos) for word, pos in tags.items()}
+        self.preterminals, self.vocabulary = frozenset(self.pos_word), frozenset(self.word_pos)
 
     def _validate(self) -> None:
-        if self.start not in self.by_lhs:
+        """Every rule is in factored form over symbols that have expansions."""
+        if self.start not in self.lhs_counts:
             raise GrammarError(f"start symbol {self.start!r} has no rules")
-        nonterminals = set(self.by_lhs)
         for rule in self.rules:
             if rule.lexical:
                 if len(rule.rhs) != 1:
@@ -193,26 +205,13 @@ class Pcfg:
                     )
             elif len(rule.rhs) == 2:
                 for sym in rule.rhs:
-                    if sym not in nonterminals:
+                    if sym not in self.lhs_counts:
                         raise GrammarError(
                             f"rule {rule.render()} references {sym!r}, "
                             "which has no expansions"
                         )
             else:
                 raise GrammarError(f"rule {rule.render()} is not in factored form")
-        for lhs, entries in self.by_lhs.items():
-            total = math.fsum(math.exp(logp) for _, _, logp in entries)
-            if abs(total - 1.0) > 1e-9:
-                raise GrammarError(f"probabilities for {lhs!r} sum to {total!r}")
-
-    def rule_prob(self, rule: Rule) -> float:
-        n = self.rule_counts.get(rule)
-        if n is None:
-            return 0.0
-        return n / self.lhs_counts[rule.lhs]
-
-    def expansions(self, lhs: str) -> tuple[tuple[Rule, int, float], ...]:
-        return self.by_lhs.get(lhs, ())
 
 
 def induce_pcfg(trees: Iterable[Tree], start: str) -> Pcfg:

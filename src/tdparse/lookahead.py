@@ -44,8 +44,9 @@ class LookaheadError(ValueError):
 class LookaheadTables:
     """First-word, first-preterminal and erasure counts per symbol.
 
-    Occurrence, erasure and preterminal-word counts are the grammar's rule
-    counts; only the first-word and first-preterminal counts need trees.
+    Occurrence, erasure and preterminal-word counts are the grammar's own
+    tables (``lhs_counts``, ``erased`` and ``pos_word`` of ``Pcfg``), never
+    written here; only the first-word and first-preterminal counts need trees.
     """
 
     def __init__(self, grammar: Pcfg, smoothing_k: int = 5):
@@ -53,17 +54,11 @@ class LookaheadTables:
             raise LookaheadError("smoothing_k must be nonnegative")
         self.word_probs: dict[tuple[str, str], float] = {}
         self.smoothing_k = smoothing_k
-        self.occurrences: dict[str, int] = dict(grammar.lhs_counts)
+        self.occurrences = grammar.lhs_counts
+        self.erased = grammar.erased
+        self.pos_word = grammar.pos_word
         self.first_word: dict[str, dict[str, int]] = {}
         self.first_pos: dict[str, dict[str, int]] = {}
-        self.erased: dict[str, int] = {}
-        self.pos_word: dict[str, dict[str, int]] = {}
-        for rule in grammar.rules:
-            n = grammar.rule_counts[rule]
-            if rule.lexical:
-                self.pos_word.setdefault(rule.lhs, {})[rule.rhs[0]] = n
-            elif not rule.rhs:
-                self.erased[rule.lhs] = n
         self.pos_total: dict[str, int] = {pos: sum(words.values()) for pos, words in self.pos_word.items()}
 
     def __setattr__(self, name: str, value) -> None:

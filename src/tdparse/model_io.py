@@ -10,6 +10,7 @@ order, making the file a deterministic function of the training data.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
@@ -69,14 +70,16 @@ class _BadLine(ValueError):
 @dataclass
 class ParserModel:
     normalization: NormalizationConfig
-    vocabulary: frozenset[str]
     grammar: Pcfg
     context: ContextModel
     lookahead: LookaheadTables
     ngram: NgramModel
+    # The grammar's words and the unknown token that stands for every other word.
+    vocabulary: frozenset[str] = field(init=False)
     unigram: dict[str, float] = field(init=False)
 
     def __post_init__(self) -> None:
+        self.vocabulary = self.grammar.vocabulary | {UNK_TOKEN}
         self.unigram = self.ngram.unigram()
 
     def prepare(self, tokens: list[str]) -> list[str]:
@@ -121,7 +124,6 @@ def train_parser_model(
 
     model = ParserModel(
         normalization=normalization,
-        vocabulary=norm_train.vocabulary,
         grammar=grammar,
         context=context,
         lookahead=lookahead,
@@ -205,6 +207,50 @@ def _weights(path: str, record: str, rows: dict, top) -> dict:
         if not 0 <= bucket <= len(BUCKET_EDGES):
             raise ModelIOError(f"{path}:{lineno}: {record} bucket {bucket} is outside 0..{len(BUCKET_EDGES)}")
     return {key: lam for key, (lam, _) in rows.items()}
+
+
+def _line_of(lines: list[str], *rows: list) -> int:
+    """Number of the first line that starts with the fields of one of ``rows``, tried in order.
+
+    A field given as None matches any field.
+    """
+    for row in rows:
+        for lineno, line in enumerate(lines, 1):
+            fields = line.split()
+            if len(fields) >= len(row) and all(want in (None, got) for want, got in zip(row, fields)):
+                return lineno
+    raise ValueError(f"no line starts with any of {rows}")
+
+
+def _check_nesting(path: str, lines: list[str], totals: list[dict], parent: slice, deeper, row) -> None:
+    """Check each level's count totals against the totals one level deeper.
+
+    A key refines the key one level down that ``key[parent]`` gives, which
+    must have rows.  A key's total is the sum of the totals that refine it
+    where ``deeper(level, key)`` says all its counts go one level deeper,
+    and at least that sum elsewhere.  The deepest levels go first, so an
+    edited key with rows above it is the one named.  ``row(level, key)``
+    gives the leading fields of the key's rows.
+    """
+    for level in range(len(totals) - 1, 0, -1):
+        below = totals[level - 1]
+        sums: dict[tuple, int] = {}
+        for key, n in totals[level].items():
+            up = key[parent]
+            sums[up] = sums.get(up, 0) + n
+        if not sums.keys() <= below.keys():
+            fields = row(level, next(key for key in totals[level] if key[parent] not in below))
+            raise ModelIOError(f"{path}:{_line_of(lines, fields)}: {' '.join(fields)} has no level-{level - 1} row to refine")
+        if sums == below:
+            continue
+        for key, total in below.items():
+            under = sums.get(key, 0)
+            if total < under or total > under and deeper(level - 1, key):
+                fields = row(level - 1, key)
+                raise ModelIOError(
+                    f"{path}:{_line_of(lines, fields)}: {' '.join(fields)} counts sum to {total}, "
+                    f"{'below' if total < under else 'not'} the {under} of its level-{level} rows"
+                )
 
 
 def _rule_line(rule: Rule, count: int) -> str:
@@ -421,9 +467,12 @@ def load_model(path: str) -> ParserModel:
             )
         if count < 1 or context.add(level, values, rid, count) != count:
             raise ModelIOError(f"{path}:{lineno}: {BAD_COUNT}: {lines[lineno - 1]}")
+    del ctx_rows  # installed; freed before the checks below build their sums, to keep the peak down
     level0 = {(lhs,): {rid: rule_counts[r] for r, rid, _ in exps} for lhs, exps in grammar.by_lhs.items()}
     if context.tables[0] != level0:
         raise ModelIOError(f"{path}: level-0 ctx counts differ from the rule counts")
+    _check_nesting(path, lines, context.totals, slice(-1), context.counts_go_deeper,
+                   lambda level, key: ["ctx", str(level), *map(_enc, key)])
 
     for kind, attr in LAP_TABLES.items():
         if kind in ("fw", "fp"):
@@ -437,8 +486,7 @@ def load_model(path: str) -> ParserModel:
             want = lookahead.occurrences.get(sym, 0) - lookahead.erased.get(sym, 0)
             if got != want:
                 # Name the symbol's first row of this kind, or its lap occ row.
-                rows = (["lap", kind, sym], ["lap", "occ", sym])
-                lineno = next(i for row in rows for i, l in enumerate(lines, 1) if l.split()[:3] == row)
+                lineno = _line_of(lines, ["lap", kind, sym], ["lap", "occ", sym])
                 raise ModelIOError(
                     f"{path}:{lineno}: lap {kind} counts of {sym} sum to {got}, not {want} (lap occ less lap eps)"
                 )
@@ -448,13 +496,31 @@ def load_model(path: str) -> ParserModel:
             raise ModelIOError(f"{path}:{lineno}: ngram count level {level} is outside 0..{ngram.order - 1}")
         if count < 1 or ngram.add(level, ctx, word, count) != count:
             raise ModelIOError(f"{path}:{lineno}: {BAD_COUNT}: {lines[lineno - 1]}")
+    # The unigram counts every word as often as the grammar's lexical rules do.
+    unigram, emitted = ngram.tables[0].get((), {}), Counter()
+    for words in grammar.pos_word.values():
+        emitted.update(words)
+    if unigram != emitted:
+        word = min(w for w in unigram.keys() | emitted.keys() if unigram.get(w) != emitted.get(w))
+        lineno = _line_of(lines, ["ngram", "count", "0", word], ["rule", None, "lex", None, word])
+        raise ModelIOError(
+            f"{path}:{lineno}: ngram count 0 of {word} is {unigram.get(word, 0)}, not {emitted.get(word, 0)} (its lexical rule counts)"
+        )
+    # Every token counts at every level of its padded history.
+    _check_nesting(path, lines, ngram.totals, slice(1, None), lambda level, key: True,
+                   lambda level, key: ["ngram", "count", str(level), *key])
     ngram.lambdas = _weights(path, "ngram lam", nglams, lambda key: ngram.order - 1)
 
-    return ParserModel(
+    model = ParserModel(
         normalization=normalization,
-        vocabulary=frozenset(vocab),
         grammar=grammar,
         context=context,
         lookahead=lookahead,
         ngram=ngram,
     )
+    # The vocab rows are a copy of the grammar's words and the unknown token.
+    if vocab.keys() != model.vocabulary:
+        token = min(vocab.keys() ^ model.vocabulary)
+        problem = "missing row" if token in model.vocabulary else "row for a word the grammar lacks"
+        raise ModelIOError(f"{path}: {problem}: vocab {token}")
+    return model

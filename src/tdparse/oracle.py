@@ -87,7 +87,7 @@ def enumerate_derivations(
                 complete.append((logp, rules))
             continue
         top = stack[-1]
-        for rule, rid, lp in grammar.expansions(top):
+        for rule, rid, lp in grammar.by_lhs[top]:
             steps += 1
             if rule.lexical:
                 if pos < n and rule.rhs[0] == words[pos]:

@@ -15,17 +15,18 @@ below
     gamma * |H| ** 3 * best,
 
 where best and |H| are the top figure of merit and number of the goals
-so far, or when the pop budget runs out.  base_beam = 0 switches every
-cutoff off and enumerates exactly; that terminates only for grammars
-without left recursion or unary cycles, so exact mode refuses a grammar
-with a cycle in its left-corner graph.  It has no pop budget either, so
-on an ambiguous grammar its cost can grow exponentially with sentence
-length.
+so far, or when the pop budget runs out.  base_beam = 0 is the same
+search with a threshold of -inf and no pop budget: it enumerates
+exactly, which terminates only for grammars without left recursion or
+unary cycles, so exact mode refuses a grammar with a cycle in its
+left-corner graph.  On an ambiguous grammar its cost can grow
+exponentially with sentence length.
 
 Expanding a symbol visits its phrasal rules and at most one lexical
-rule: an index built once per grammar maps (preterminal, word) to the
-only rule that can rewrite the one as the other, so the cost of a pop
-does not grow with the vocabulary.  The lexical successor is handled
+rule, read from the rule index that the grammar builds once (see
+``Pcfg`` in grammar.py): (preterminal, word) maps to the only rule that
+can rewrite the one as the other, so the cost of a pop does not grow
+with the vocabulary.  The lexical successor is handled
 first.  That moves no output: it only adds a goal, while mid-sentence a
 phrasal successor only feeds the heap, and at the end of input no
 lexical rule applies.  Rule scores and look-ahead word probabilities are
@@ -35,9 +36,9 @@ per model (see conditioning.py and lookahead.py).
 While words remain, the kernel also drops every analysis whose stack
 cannot derive a string that starts with the current word (a left-corner
 reachability filter, as in Roark & Johnson 1999 and Moore 2000).  The
-test reads tables built once per grammar from the same left-corner
-closure: the preterminals each symbol's yield can start with, the
-symbols that can erase, and each word's preterminals.  It scans the
+test reads two tables the parser builds from the left-corner closure,
+the preterminals each symbol's yield can start with and the symbols that
+can erase, and the grammar's index of each word's preterminals.  It scans the
 stack from the top through erasable symbols to the first one that cannot
 erase.  The filter changes no output.  A dropped analysis could never
 yield a goal; every rule scores above zero, so what the grammar cannot
@@ -63,7 +64,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .conditioning import ContextModel, SpineNode, apply_rule
-from .grammar import Pcfg, Rule
+from .grammar import Pcfg
 from .lookahead import LookaheadTables
 from .treebank import Tree
 
@@ -74,7 +75,7 @@ class ParseError(ValueError):
 
 @dataclass(frozen=True)
 class ParserConfig:
-    base_beam: float = 1e-11      # gamma; 0.0 disables pruning and budgets
+    base_beam: float = 1e-11      # gamma; 0.0 disables pruning and the budget
     max_pops: int = 10_000        # per-queue expansion budget
     lap_floor: float = 1e-10      # clamp on the lookahead factor
 
@@ -90,7 +91,9 @@ class ParserConfig:
 
 
 def beam_threshold(best_logf: float, queue_size: int, base_beam: float) -> float:
-    """Log figure-of-merit cutoff given the next queue's best entry and size."""
+    """Log figure-of-merit cutoff given the next queue's best entry and size; -inf when exact."""
+    if base_beam == 0.0:
+        return -math.inf
     return best_logf + math.log(base_beam) + 3.0 * math.log(queue_size)
 
 
@@ -105,14 +108,14 @@ def left_corners(grammar: Pcfg) -> tuple[dict[str, set[str]], set[str]]:
     grew = True
     while grew:
         before = sum(map(len, corners.values())) + len(nullable)
-        for rule in grammar.rules:
-            if not rule.lexical:
+        for lhs, expansions in grammar.phrasal.items():
+            for rule, _ in expansions:
                 for sym in rule.rhs:
-                    corners[rule.lhs] |= {sym} | corners[sym]
+                    corners[lhs] |= {sym} | corners[sym]
                     if sym not in nullable:
                         break
                 else:
-                    nullable.add(rule.lhs)
+                    nullable.add(lhs)
         grew = sum(map(len, corners.values())) + len(nullable) > before
     return corners, nullable
 
@@ -183,25 +186,12 @@ class BeamParser:
         self.lookahead = lookahead
         self.config = config
         # Reachability tables: the preterminals each symbol's yield can
-        # start with, the symbols that can erase, and each word's tags.
+        # start with, and the symbols that can erase.
         self.nullable = frozenset(nullable)
         self.first_pos = {
             sym: frozenset(c for c in corners[sym] | {sym} if c in grammar.preterminals)
             for sym in corners
         }
-        # Expansion tables: each (preterminal, word) pair has at most one
-        # lexical rule, so a pop looks it up instead of scanning the POS.
-        self.lexical: dict[tuple[str, str], tuple[Rule, int]] = {}
-        phrasal: dict[str, list[tuple[Rule, int]]] = {lhs: [] for lhs in grammar.by_lhs}
-        tags: dict[str, set[str]] = {}
-        for rid, rule in enumerate(grammar.rules):
-            if rule.lexical:
-                self.lexical[rule.lhs, rule.rhs[0]] = (rule, rid)
-                tags.setdefault(rule.rhs[0], set()).add(rule.lhs)
-            else:
-                phrasal[rule.lhs].append((rule, rid))
-        self.phrasal = {lhs: tuple(rules) for lhs, rules in phrasal.items()}
-        self.word_pos = {word: frozenset(pos) for word, pos in tags.items()}
 
     # -- pieces ---------------------------------------------------------------
 
@@ -250,11 +240,13 @@ class BeamParser:
         """
         ending = word is None
         base_beam = self.config.base_beam
-        exact = base_beam == 0.0
+        budget = self.config.max_pops if base_beam else math.inf
+        lexical = self.grammar.lexical
+        phrasal = self.grammar.phrasal
         if not ending:
             # An analysis that cannot reach the current word yields no goal.
             reaches = self._reaches
-            tags = self.word_pos.get(word, frozenset())
+            tags = self.grammar.word_pos.get(word, frozenset())
             entries = [e for e in entries if reaches(e.stack, tags)]
         tie = itertools.count()
         heap = [(-e.logf, next(tie), e) for e in entries]
@@ -262,12 +254,9 @@ class BeamParser:
         goals: list[Analysis] = []
         best = -math.inf
         pops = pushes = 0
-        while heap:
-            if not exact:
-                if goals and -heap[0][0] < beam_threshold(best, len(goals), base_beam):
-                    break
-                if pops >= self.config.max_pops:
-                    break
+        while heap and pops < budget:
+            if goals and -heap[0][0] < beam_threshold(best, len(goals), base_beam):
+                break
             a = heapq.heappop(heap)[2]
             pops += 1
             if not a.stack:
@@ -281,20 +270,21 @@ class BeamParser:
             rest = a.stack[:-1]
             score = self.context.scorer(a.spine, top)
             # The lexical successor only adds a goal, and a phrasal one
-            # mid-sentence only feeds the heap, so it may go first.
-            lexical = None if ending else self.lexical.get((top, word))
-            if lexical is not None:
-                rule, rid = lexical
+            # mid-sentence only feeds the heap, so it may go first.  At the
+            # end of input (top, None) matches no lexical rule.
+            consume = lexical.get((top, word))
+            if consume is not None:
+                rule, rid = consume
                 lp = score(rid)
                 if lp != -math.inf:
                     logp = a.logp + lp
                     logf = logp + self._lap_log(rest, next_word)
-                    if exact or not goals or logf >= beam_threshold(best, len(goals), base_beam):
+                    if not goals or logf >= beam_threshold(best, len(goals), base_beam):
                         spine, done = apply_rule(a.spine, rule)
                         goals.append(Analysis(rest, spine, logp, logf, a.rules + (rid,), done))
                         pushes += 1
                         best = max(best, logf)
-            for rule, rid in self.phrasal[top]:
+            for rule, rid in phrasal[top]:
                 stack = rest + (rule.rhs[1], rule.rhs[0]) if rule.rhs else rest
                 if not ending and not reaches(stack, tags):
                     continue

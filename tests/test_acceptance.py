@@ -196,7 +196,7 @@ def _language(grammar, max_words: int) -> list[tuple[str, ...]]:
         if not stack:
             seen.add(words)
             continue
-        for rule, _rid, _lp in grammar.expansions(stack[-1]):
+        for rule, _rid, _lp in grammar.by_lhs[stack[-1]]:
             if rule.lexical:
                 nw, rest = words + (rule.rhs[0],), stack[:-1]
             else:

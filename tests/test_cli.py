@@ -214,6 +214,16 @@ def test_parse_names_file_and_field_of_bad_norm_value(g1_model_path, tmp_path, c
         ("vocab the", ["vocab the"] * 2, r":\d+: repeated row"),
         ("lap k 5", [], r": missing row: lap k"),
         ("cond config 6 5 4", ["cond config 7 5 4"], r":\d+: cond config depths exceed 6 5 4"),
+        # copies of the grammar's words and counts
+        ("vocab Spot", [], r": missing row: vocab Spot"),
+        ("vocab Spot", ["vocab Spot", "vocab Rex"], r": row for a word the grammar lacks: vocab Rex"),
+        ("ctx 1 =NP =S 4 1", ["ctx 1 =NP =S 4 100"], r":\d+: ctx 1 =NP =S counts sum to 103, not the 4 of its level-2 rows"),
+        ("ngram count 1 Spot ran 2", ["ngram count 1 Spot ran 50"], r":\d+: ngram count 1 Spot counts sum to 51, not the 3 of its level-2 rows"),
+        ("ngram count 0 ran 3", ["ngram count 0 ran 30"], r":\d+: ngram count 0 of ran is 30, not 3 \(its lexical rule counts\)"),
+        ("ngram count 0 ran 3", [], r":\d+: ngram count 0 of ran is 0, not 3 \(its lexical rule counts\)"),
+        ("ngram order 3", ["ngram order 3", "ngram count 2 Spot Rex ran 1"], r":\d+: ngram count 2 Spot Rex has no level-1 row to refine"),
+        ("ctx 4 =NN =NP =DT =the =chased 2 1", ["ctx 4 =NN =NP =DT =the =chased 2 1", "ctx 5 =NN =NP =DT =the =chased _ 2 5"],
+         r":\d+: ctx 4 =NN =NP =DT =the =chased counts sum to 1, below the 5 of its level-5 rows"),
     ],
 )
 def test_parse_names_file_of_bad_model(g1_model_path, tmp_path, capsys, line, replacement, message):

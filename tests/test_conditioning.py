@@ -191,7 +191,7 @@ def test_untuned_scorer_matches_grammar_bitwise(g1):
     # no lambdas fitted: every context backs off to the plain PCFG
     for spine, rule in replay(fact):
         got = cm.rule_logprob(spine, rule)
-        want = math.log(grammar.rule_prob(rule))
+        want = next(lp for r, _, lp in grammar.by_lhs[rule.lhs] if r == rule)
         assert got == want
 
 
@@ -252,7 +252,7 @@ def test_tuned_model_still_proper(g1_model, g1_trees):
     for spine, rule in replay(fact):
         score = context.scorer(spine, rule.lhs)
         total = math.fsum(
-            math.exp(score(rid)) for _, rid, _ in grammar.expansions(rule.lhs)
+            math.exp(score(rid)) for _, rid, _ in grammar.by_lhs[rule.lhs]
         )
         assert total == pytest.approx(1.0, abs=1e-9)
         checked += 1
@@ -262,7 +262,7 @@ def test_tuned_model_still_proper(g1_model, g1_trees):
 def _site_scores(cm, expansions):
     """Every rule's score at every expansion site of ``expansions``."""
     return [
-        [cm.scorer(spine, rule.lhs)(rid) for _, rid, _ in cm.grammar.expansions(rule.lhs)]
+        [cm.scorer(spine, rule.lhs)(rid) for _, rid, _ in cm.grammar.by_lhs[rule.lhs]]
         for spine, rule in expansions
     ]
 

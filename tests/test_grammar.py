@@ -10,7 +10,6 @@ from tdparse.grammar import (
     GrammarError,
     Pcfg,
     Rule,
-    constituent_of,
     induce_pcfg,
     is_factored,
     left_factor_tree,
@@ -37,8 +36,6 @@ def test_label_helpers():
     assert split_factored("NP-DT,NN") == ("NP", ("DT", "NN"))
     assert split_factored("NP") == ("NP", ())
     assert is_factored("VP-VBD") and not is_factored("VP")
-    assert constituent_of("NP-DT,NN") == "NP"
-    assert constituent_of("NP") == "NP"
 
 
 def test_rule_render():
@@ -123,13 +120,13 @@ def test_induced_rule_probabilities(g1_trees):
     g = induce_pcfg(factored_corpus(g1_trees), AXIOM)
     # Hand-tallied from g1.trees: 5 NPs (3 bare NN, 2 with DT), 4 VPs
     # (3 intransitive), 5 NN tokens (Spot x3, ball, dog).
-    assert g.rule_prob(Rule("NP", ("NN", "NP-NN"), False)) == pytest.approx(3 / 5)
-    assert g.rule_prob(Rule("NP", ("DT", "NP-DT"), False)) == pytest.approx(2 / 5)
-    assert g.rule_prob(Rule("VP-VBD", (), False)) == pytest.approx(3 / 4)
-    assert g.rule_prob(Rule("VP-VBD", ("NP", "VP-VBD,NP"), False)) == pytest.approx(1 / 4)
-    assert g.rule_prob(Rule("NN", ("Spot",), True)) == pytest.approx(3 / 5)
-    assert g.rule_prob(Rule("VP", ("VBD", "VP-VBD"), False)) == 1.0
-    assert g.rule_prob(Rule("NP", ("XX", "YY"), False)) == 0.0
+    prob = {rule: math.exp(lp) for entries in g.by_lhs.values() for rule, _, lp in entries}
+    assert prob[Rule("NP", ("NN", "NP-NN"), False)] == pytest.approx(3 / 5)
+    assert prob[Rule("NP", ("DT", "NP-DT"), False)] == pytest.approx(2 / 5)
+    assert prob[Rule("VP-VBD", (), False)] == pytest.approx(3 / 4)
+    assert prob[Rule("VP-VBD", ("NP", "VP-VBD,NP"), False)] == pytest.approx(1 / 4)
+    assert prob[Rule("NN", ("Spot",), True)] == pytest.approx(3 / 5)
+    assert prob[Rule("VP", ("VBD", "VP-VBD"), False)] == 1.0
 
 
 def test_probabilities_sum_to_one_per_lhs(g1_trees):
@@ -212,6 +209,45 @@ def test_pcfg_validation_errors():
         Pcfg({Rule("S", ("A", "B"), False): 1, lex: 1}, "S")
     with pytest.raises(GrammarError, match="not in factored form"):
         Pcfg({Rule("S", ("A", "A", "A"), False): 1, lex: 1}, "S")
+    with pytest.raises(GrammarError, match="is not unary"):
+        Pcfg({Rule("A", (), True): 1}, "A")
+
+
+def _rule_index(rule_counts):
+    """The by-kind tables, rule by rule from the counts: the reference ``Pcfg`` must match."""
+    rules = sorted(rule_counts)
+    lexical, phrasal, word_pos, pos_word, erased = {}, {}, {}, {}, {}
+    for rid, rule in enumerate(rules):
+        phrasal.setdefault(rule.lhs, ())
+        if rule.lexical:
+            lexical[rule.lhs, rule.rhs[0]] = (rule, rid)
+            word_pos[rule.rhs[0]] = word_pos.get(rule.rhs[0], frozenset()) | {rule.lhs}
+            pos_word.setdefault(rule.lhs, {})[rule.rhs[0]] = rule_counts[rule]
+        else:
+            phrasal[rule.lhs] += ((rule, rid),)
+            if not rule.rhs:
+                erased[rule.lhs] = rule_counts[rule]
+    return lexical, phrasal, word_pos, pos_word, erased
+
+
+def _assert_rule_index(g):
+    assert (g.lexical, g.phrasal, g.word_pos, g.pos_word, g.erased) == _rule_index(g.rule_counts)
+    assert list(g.phrasal) == list(g.by_lhs)
+    assert g.preterminals == {r.lhs for r in g.rules if r.lexical}
+    assert g.vocabulary == {r.rhs[0] for r in g.rules if r.lexical}
+
+
+def test_rule_index_on_g1(g1_trees):
+    g = induce_pcfg(factored_corpus(g1_trees), AXIOM)
+    _assert_rule_index(g)
+    assert g.word_pos["Spot"] == {"NN"} and g.pos_word["NN"] == {"Spot": 3, "ball": 1, "dog": 1}
+    assert g.phrasal["NN"] == () and g.erased["VP-VBD"] == 3
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(1, 8), seed=st.integers(0, 10_000))
+def test_rule_index_on_random_grammars(n, seed):
+    _assert_rule_index(induce_pcfg(factored_corpus(random_corpus(n, seed)), AXIOM))
 
 
 def test_induce_requires_axiom_root(g1_trees):

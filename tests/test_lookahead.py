@@ -56,6 +56,12 @@ def lap(g1_trees):
     return tables_for(g1_trees)
 
 
+def test_rule_count_tables_are_the_grammars(g1_trees):
+    grammar = induce_pcfg(factored_corpus(g1_trees), AXIOM)
+    t = LookaheadTables(grammar)
+    assert t.occurrences is grammar.lhs_counts and t.erased is grammar.erased and t.pos_word is grammar.pos_word
+
+
 @pytest.mark.parametrize("name", ["g1", "g2", "g3", "g4", "g5"])
 def test_derived_counts_match_tree_walk(name):
     assert_counts_match_walk(fixture_trees(f"{name}.trees"))

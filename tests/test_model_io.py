@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from support import as_corpus, fixture_trees, reference_unigram
-from tdparse.conditioning import ContextModel, replay
+from tdparse.conditioning import CondConfig, ContextModel, replay
 from tdparse.grammar import Rule, left_factor_tree
 from tdparse.langmodel import sentences_from_trees
 from tdparse.lookahead import LookaheadTables
@@ -18,7 +18,7 @@ from tdparse.model_io import (
     train_parser_model,
 )
 from tdparse.parser import BeamParser, ParserConfig
-from tdparse.treebank import END_TOKEN, UNK_TOKEN, augment_with_stop, parse_trees
+from tdparse.treebank import END_TOKEN, UNK_TOKEN, augment_with_stop, parse_trees, speech_normalize
 
 
 def test_training_report_keys(g1_model):
@@ -87,8 +87,7 @@ def test_loaded_model_scores_identically(g1_model, tmp_path):
 
     assert loaded.vocabulary == orig.vocabulary
     assert loaded.grammar.rules == orig.grammar.rules
-    for rule in orig.grammar.rules:
-        assert loaded.grammar.rule_prob(rule) == orig.grammar.rule_prob(rule)
+    assert loaded.grammar.by_lhs == orig.grammar.by_lhs
     assert loaded.context.lambdas == orig.context.lambdas
     assert loaded.unigram == orig.unigram
     assert loaded.ngram.lambdas == orig.ngram.lambdas
@@ -389,3 +388,63 @@ def test_mutated_model_raises_model_io_error_or_loads(g1_saved, data):
         resaved = path.with_name("resaved.model")
         save_model(model, str(resaved))
         assert resaved.read_text() == path.read_text()
+
+
+def _count_edits(lines):
+    """Every +-1 edit of a rule, ctx, lap or ngram count row's count that keeps it at least 1,
+    and every deletion of a vocab row, as (description, edited lines)."""
+    for i, line in enumerate(lines):
+        parts = line.split()
+        if parts[0] == "vocab":
+            yield f"delete {line}", lines[:i] + lines[i + 1 :]
+            continue
+        if parts[0] == "rule":
+            at = 1
+        elif parts[0] in ("ctx", "lap") or parts[:2] == ["ngram", "count"]:
+            at = -1
+        else:
+            continue
+        if parts[:2] == ["lap", "k"]:
+            continue
+        for step in (-1, 1):
+            edited = list(parts)
+            edited[at] = str(int(parts[at]) + step)
+            if int(edited[at]) >= 1:
+                yield f"{line} -> {' '.join(edited)}", lines[:i] + [" ".join(edited)] + lines[i + 1 :]
+
+
+def test_no_single_count_edit_loads(g1_saved):
+    """Each copy of a count is checked against the counts it copies, so no edit of one count loads."""
+    lines, _, path = g1_saved
+    edits = list(_count_edits(lines))
+    assert len(edits) == 463
+    loaded = []
+    for what, edited in edits:
+        path.write_text("\n".join(edited) + "\n")
+        try:
+            load_model(str(path))
+        except ModelIOError as exc:
+            assert str(exc).startswith(f"{path}:")
+        else:
+            loaded.append(what)
+    assert loaded == []
+
+
+@pytest.mark.parametrize("depths", [(3, 2, 1), (1, 4, 3), (6, 1, 1), (0, 5, 0), (2, 0, 3)])
+def test_models_at_odd_depths_load(depths, tmp_path):
+    """The nesting checks hold on every fixture grammar wherever the depths cut the paths."""
+    for name in ("g1.trees", "g2.trees", "g3.trees", "g4.trees", "g5.trees"):
+        trees = fixture_trees(name)
+        model, _ = train_parser_model(
+            as_corpus(trees, "train"), as_corpus(trees, "heldout"), CondConfig(*depths), em_max_iter=2
+        )
+        path = tmp_path / "model"
+        save_model(model, str(path))
+        assert load_model(str(path)).context.tables == model.context.tables
+
+
+def test_vocabulary_is_the_grammar_words_and_unk(g1_model, desk):
+    g1_train = as_corpus(fixture_trees("g1.trees"), "train")
+    for model, corpus in ((g1_model.model, g1_train), (desk.models["all"], desk.train)):
+        assert model.vocabulary == model.grammar.vocabulary | {UNK_TOKEN}
+        assert model.vocabulary == speech_normalize(corpus, model.normalization).vocabulary

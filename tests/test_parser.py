@@ -51,6 +51,8 @@ def test_beam_threshold_values():
     assert beam_threshold(0.0, 100, 1e-11) == pytest.approx(math.log(1e-5), rel=1e-9)
     assert beam_threshold(0.0, 1000, 1e-11) == pytest.approx(math.log(1e-2), rel=1e-9)
     assert beam_threshold(-7.0, 1, 1e-11) == pytest.approx(-7.0 + math.log(1e-11), rel=1e-9)
+    # exact search is the same loop with nothing below the threshold
+    assert beam_threshold(-7.0, 3, 0.0) == -math.inf
 
 
 def test_unambiguous_sentence(g1_parser):
@@ -219,6 +221,8 @@ def test_exact_search_effort(name, want):
     parser = build_parser(fixture_trees(f"{name}.trees"))
     sents = [s + [END_TOKEN] for s in fixture_sentences(f"{name}.sents")]
     assert _effort(parser, sents) == want
+    # exact search has no pop budget
+    assert _effort(_rebuild(BeamParser, parser, max_pops=1), sents) == want
 
 
 def test_exact_mode_rejects_left_recursion(desk):
@@ -256,21 +260,21 @@ def test_first_pos_and_nullable_on_g1(g1_parser):
         "TOP": {"DT", "NN"}, "TOP-S": {"STOP"}, "VP": {"VBD"}, "VP-VBD": {"DT", "NN"},
     }
     assert {sym for sym, tags in g1_parser.first_pos.items() if not tags} == g1_parser.nullable - {"VP-VBD"}
-    assert g1_parser.word_pos["ball"] == {"NN"} and "zebra" not in g1_parser.word_pos
+    assert g1_parser.grammar.word_pos["ball"] == {"NN"} and "zebra" not in g1_parser.grammar.word_pos
 
 
 def test_reachability_scans_through_erasable_symbols(g1_parser):
-    reaches = g1_parser._reaches
+    reaches, word_pos = g1_parser._reaches, g1_parser.grammar.word_pos
     # top of stack at the end: VP-VBD,NP and S-NP,VP erase, TOP-S starts with STOP
     stack = ("TOP-S", "S-NP,VP", "VP-VBD,NP")
-    assert reaches(stack, g1_parser.word_pos["</s>"])
-    assert not reaches(stack, g1_parser.word_pos["ran"])
+    assert reaches(stack, word_pos["</s>"])
+    assert not reaches(stack, word_pos["ran"])
     # VP-VBD erases or starts an NP; S-NP cannot erase, so the scan stops there
-    assert reaches(("TOP-S", "S-NP", "VP-VBD"), g1_parser.word_pos["the"])
-    assert reaches(("TOP-S", "S-NP", "NP-NN"), g1_parser.word_pos["ran"])
-    assert not reaches(("TOP-S", "S-NP", "NP-NN"), g1_parser.word_pos["</s>"])
-    assert not reaches(("S-NP,VP",), g1_parser.word_pos["ran"])
-    assert not reaches((), g1_parser.word_pos["ran"])
+    assert reaches(("TOP-S", "S-NP", "VP-VBD"), word_pos["the"])
+    assert reaches(("TOP-S", "S-NP", "NP-NN"), word_pos["ran"])
+    assert not reaches(("TOP-S", "S-NP", "NP-NN"), word_pos["</s>"])
+    assert not reaches(("S-NP,VP",), word_pos["ran"])
+    assert not reaches((), word_pos["ran"])
 
 
 def _same_parse(parser, reference, words):
@@ -353,7 +357,7 @@ class ScanningParser(BeamParser):
         exact = base_beam == 0.0
         if not ending:
             reaches = self._reaches
-            tags = self.word_pos.get(word, frozenset())
+            tags = self.grammar.word_pos.get(word, frozenset())
             entries = [e for e in entries if reaches(e.stack, tags)]
         tie = itertools.count()
         heap = [(-e.logf, next(tie), e) for e in entries]
@@ -377,7 +381,7 @@ class ScanningParser(BeamParser):
             top = a.stack[-1]
             rest = a.stack[:-1]
             score = self.context.scorer(a.spine, top)
-            for rule, rid, _ in self.grammar.expansions(top):
+            for rule, rid, _ in self.grammar.by_lhs[top]:
                 if rule.lexical:
                     if rule.rhs[0] != word:
                         continue
@@ -464,7 +468,7 @@ MIXED_TREES = """
 @pytest.mark.parametrize("gamma", [0.0, 1e-3, 0.5])
 def test_lexical_index_matches_scanning_kernel_on_mixed_symbol(gamma):
     parser = build_parser(parse_trees(MIXED_TREES), base_beam=gamma)
-    assert ("X", "a") in parser.lexical and parser.phrasal["X"]
+    assert ("X", "a") in parser.grammar.lexical and parser.grammar.phrasal["X"]
     reference = _rebuild(ScanningParser, parser)
     for text in ("a b", "a b b", "b b", "b a", "a a b", "a", "b a b a"):
         _same_search(parser, reference, _sent(text))
@@ -479,13 +483,13 @@ def test_lexical_index_and_phrasal_rules_partition_expansions(desk):
     m = desk.models["all"]
     for parser in (BeamParser(m.grammar, m.context, m.lookahead), build_parser(parse_trees(MIXED_TREES))):
         grammar = parser.grammar
-        assert set(parser.phrasal) == set(grammar.by_lhs)
+        assert set(grammar.phrasal) == set(grammar.by_lhs)
         lexical = {lhs: [] for lhs in grammar.by_lhs}
-        for (pos, word), (rule, rid) in parser.lexical.items():
+        for (pos, word), (rule, rid) in grammar.lexical.items():
             assert rule == grammar.rules[rid] == (pos, (word,), True)
             lexical[pos].append((rule, rid))
         for lhs, expansions in grammar.by_lhs.items():
-            phrasal = parser.phrasal[lhs]
+            phrasal = grammar.phrasal[lhs]
             assert list(phrasal) == [(r, rid) for r, rid, _ in expansions if not r.lexical]
             # Together, and with no rule twice, they are every expansion.
             assert sorted(phrasal + tuple(lexical[lhs]), key=lambda e: e[1]) == [(r, rid) for r, rid, _ in expansions]
