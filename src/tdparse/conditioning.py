@@ -39,7 +39,9 @@ scored.  Every write through ``add`` and every assignment to ``lambdas``
 empties ``site_scores``; a write straight into ``tables``, ``totals`` or
 the weight dict does not, so make those before the first score.  The
 dict holds at most SITE_CACHE_CAP sites and is dropped whole when full:
-sites carry head words, so their number grows with the vocabulary.
+sites carry head words, so their number grows with the vocabulary.  The
+n-gram model keeps one estimator per history in its own ``site_scores``
+on the same terms (see langmodel.py).
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ from operator import add, itemgetter
 from typing import Callable, Iterable, Iterator, Optional
 
 from .grammar import Pcfg, Rule, split_factored, tree_to_derivation
-from .treebank import Tree
+from .treebank import FACTOR_SEP, Tree
 
 LEFT = "left"
 MIDDLE = "middle"
@@ -115,6 +117,13 @@ class InterpolationTable:
         counts[outcome] = new = counts.get(outcome, 0) + n
         self.totals[level][key] = self.totals[level].get(key, 0) + n
         return new
+
+    def keep_site(self, site: tuple, fn: Callable) -> Callable:
+        """Store ``fn`` as the site's function, dropping every site first when the dict is full."""
+        if len(self.site_scores) >= SITE_CACHE_CAP:
+            self.site_scores.clear()
+        self.site_scores[site] = fn
+        return fn
 
     def estimator(self, tie: tuple, base: tuple, levels: list[tuple[int, tuple]]) -> Callable[[object], float]:
         """The interpolated probability of each outcome at one site.
@@ -377,6 +386,9 @@ class ContextModel(InterpolationTable):
         super().__init__(config.max_depth + 1)
         self.grammar = grammar
         self.config = config
+        # Every score reads these, and the config is frozen: work them out once.
+        self.max_depth = config.max_depth
+        self._cut = {path: config.depth_for(path) + 1 for path in PATH_MAX}
 
     # -- context extraction -------------------------------------------------
 
@@ -387,36 +399,45 @@ class ContextModel(InterpolationTable):
         configured depth.  values[0] is always the lhs itself; missing
         structure shows up as None, never as a shorter tuple.
         """
-        base, consumed = split_factored(lhs)
-        if consumed:
+        if FACTOR_SEP in lhs:
+            # Continuing an open constituent: its children so far are within it.
             parent_spine = spine.parent
             within = spine.children
         else:
             parent_spine = spine
             within = ()
-        siblings = parent_spine.children if parent_spine is not None else ()
+        if parent_spine is not None:
+            siblings = parent_spine.children
+            parent = parent_spine.label
+            grand = parent_spine.parent
+        else:
+            siblings, parent, grand = (), None, None
         y_s = siblings[-1].label if siblings else None
-        parent = parent_spine.label if parent_spine is not None else None
-        grand = parent_spine.parent if parent_spine is not None else None
         grand_label = grand.label if grand is not None else None
         if lhs not in self.grammar.preterminals:
-            path = LEFT
             psibs = grand.children if grand is not None else ()
             conj = None
             if y_s == CONJ_LABEL and len(siblings) >= 2 and siblings[-2].children:
                 conj = siblings[-2].children[0].label
-            head = open_constituent_head(base, within)
+            head = open_constituent_head(lhs.partition(FACTOR_SEP)[0], within) if within else None
             values = (lhs, parent, y_s, grand_label, psibs[-1].label if psibs else None, conj,
                       head[0] if head else None)
-        elif y_s is None:
-            path = MIDDLE
-            first = next(c_command_heads(spine), None)
-            values = (lhs, parent, y_s, grand_label, first[1] if first else None, first[0] if first else None)
-        else:
-            path = RIGHT
-            heads = list(islice(c_command_heads(spine), 2))
-            values = (lhs, parent, y_s, heads[0][0] if heads else None, heads[1][0] if len(heads) > 1 else None)
-        return path, values[: self.config.depth_for(path) + 1]
+            return LEFT, values[: self._cut[LEFT]]
+        if y_s is None:
+            # The closest c-commanding head: the last child of the nearest
+            # spine node that has one (see c_command_heads).
+            node = spine
+            while node is not None and not node.children:
+                node = node.parent
+            if node is None:
+                values = (lhs, parent, None, grand_label, None, None)
+            else:
+                token, pos = head_of(node.children[-1])
+                values = (lhs, parent, None, grand_label, pos, token)
+            return MIDDLE, values[: self._cut[MIDDLE]]
+        heads = list(islice(c_command_heads(spine), 2))
+        values = (lhs, parent, y_s, heads[0][0] if heads else None, heads[1][0] if len(heads) > 1 else None)
+        return RIGHT, values[: self._cut[RIGHT]]
 
     def counts_go_deeper(self, level: int, key: tuple) -> bool:
         """Whether every expansion counted under ``key`` at ``level`` also counts at ``level`` + 1.
@@ -434,6 +455,24 @@ class ContextModel(InterpolationTable):
         else:
             depth = min(c.first_pos_depth, c.later_pos_depth)
         return depth > level
+
+    def unread_keys(self, level: int) -> list[tuple]:
+        """The keys counted at ``level`` that no score reads: ``level`` is deeper than their path's depth.
+
+        The key shows the path as in ``counts_go_deeper``.  Below level 2 a
+        preterminal key is read if either preterminal path reaches ``level``.
+        """
+        c = self.config
+        left = level > c.phrasal_depth
+        middle = level > c.first_pos_depth
+        right = level > c.later_pos_depth
+        if level < 2:
+            middle = right = middle and right
+        preterminals = self.grammar.preterminals
+        return [
+            key for key in self.totals[level]
+            if (left if key[0] not in preterminals else middle if level < 2 or key[2] is None else right)
+        ]
 
     @staticmethod
     def _levels(values: tuple) -> list[tuple[int, tuple]]:
@@ -490,14 +529,12 @@ class ContextModel(InterpolationTable):
         ``site_scores``; it computes each rule id's log probability once.  With
         depth 0 there are no levels and the partial tree is never walked.
         """
-        site = self.extract_values(spine, lhs) if self.config.max_depth else (LEFT, (lhs,))
+        site = self.extract_values(spine, lhs) if self.max_depth else (LEFT, (lhs,))
         score = self.site_scores.get(site)
         if score is None:
-            if len(self.site_scores) >= SITE_CACHE_CAP:
-                self.site_scores.clear()
             path, values = site
             prob = self.estimator((path,), values[:1], self._levels(values))
-            score = self.site_scores[site] = _LogProbs(prob).__getitem__
+            score = self.keep_site(site, _LogProbs(prob).__getitem__)
         return score
 
     def rule_logprob(self, spine: Optional[SpineNode], rule: Rule) -> float:

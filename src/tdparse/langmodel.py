@@ -155,7 +155,12 @@ class NgramModel(InterpolationTable):
         return self.fit_weights(sites, max_iter, tol)
 
     def word_prob(self, context: Sequence[str], word: str) -> float:
-        return self.estimator((), (), self._levels(tuple(context)))(word)
+        """Interpolated P(word | context); each history's estimator is kept in ``site_scores``."""
+        history = tuple(context)
+        prob = self.site_scores.get(history)
+        if prob is None:
+            prob = self.keep_site(history, self.estimator((), (), self._levels(history)))
+        return prob(word)
 
     def word_probs(self, tokens: Sequence[str]) -> list[float]:
         return [self.word_prob(ctx, w) for w, ctx in self._histories([tokens])]

@@ -20,13 +20,13 @@ erases, which is what remains once every input word is consumed.
 These numbers rank analyses only; derivation probabilities never include
 them.  No flooring happens here, callers clamp as they see fit.
 
-A parse asks for P(w | A) of the same few (symbol, word) pairs over and
-over, so ``word_prob`` keeps each value it computes in ``word_probs``,
-keyed by (symbol, word).  The memo empties whenever the tables change:
-when ``_walk`` counts a tree, and when any attribute is assigned, as the
-model loader does with the first-word and first-preterminal counts.  It
-has no cap: callers that map words onto the model vocabulary first, as
-the command line does, keep it within symbols times vocabulary.
+Nothing is cached here.  The parser keeps the floored log look-ahead of
+each (stack, word) pair it meets (see parser.py), and learns from
+``changes`` that the tables changed under it.  ``changes`` grows when
+``_walk`` counts a constituent and when any attribute is assigned, as
+the model loader does with the first-word and first-preterminal counts.
+A write straight into one of the count dicts is not counted, so make
+those before the first parse.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ class LookaheadTables:
     def __init__(self, grammar: Pcfg, smoothing_k: int = 5):
         if smoothing_k < 0:
             raise LookaheadError("smoothing_k must be nonnegative")
-        self.word_probs: dict[tuple[str, str], float] = {}
+        self.changes = 0
         self.smoothing_k = smoothing_k
         self.occurrences = grammar.lhs_counts
         self.erased = grammar.erased
@@ -62,9 +62,9 @@ class LookaheadTables:
         self.pos_total: dict[str, int] = {pos: sum(words.values()) for pos, words in self.pos_word.items()}
 
     def __setattr__(self, name: str, value) -> None:
-        # word_prob reads every table, so replacing one empties its memo.
-        if name != "word_probs":
-            self.word_probs.clear()
+        # word_prob reads every table, so replacing one is a change.
+        if name != "changes":
+            self.changes += 1
         super().__setattr__(name, value)
 
     @classmethod
@@ -90,8 +90,7 @@ class LookaheadTables:
                 if first is None:
                     first = r
         if first is not None:
-            if self.word_probs:
-                self.word_probs.clear()
+            self.changes += 1
             word, pos = first
             fw = self.first_word.setdefault(t.label, {})
             fw[word] = fw.get(word, 0) + 1
@@ -101,12 +100,6 @@ class LookaheadTables:
 
     def word_prob(self, symbol: str, word: str) -> float:
         """Probability that ``symbol`` expands to a yield starting with ``word``."""
-        p = self.word_probs.get((symbol, word))
-        if p is None:
-            p = self.word_probs[symbol, word] = self._word_prob(symbol, word)
-        return p
-
-    def _word_prob(self, symbol: str, word: str) -> float:
         occ = self.occurrences.get(symbol, 0)
         if not occ:
             return 0.0

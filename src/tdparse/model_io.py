@@ -473,6 +473,14 @@ def load_model(path: str) -> ParserModel:
         raise ModelIOError(f"{path}: level-0 ctx counts differ from the rule counts")
     _check_nesting(path, lines, context.totals, slice(-1), context.counts_go_deeper,
                    lambda level, key: ["ctx", str(level), *map(_enc, key)])
+    # Each path's counts stop at its depth, so a deeper row is never read.
+    for level in range(1, len(context.totals)):
+        unread = context.unread_keys(level)
+        if unread:
+            fields = ["ctx", str(level), *map(_enc, unread[0])]
+            raise ModelIOError(
+                f"{path}:{_line_of(lines, fields)}: {' '.join(fields)} is deeper than its path's depth, so no score reads it"
+            )
 
     for kind, attr in LAP_TABLES.items():
         if kind in ("fw", "fp"):

@@ -29,9 +29,8 @@ can rewrite the one as the other, so the cost of a pop does not grow
 with the vocabulary.  The lexical successor is handled
 first.  That moves no output: it only adds a goal, while mid-sentence a
 phrasal successor only feeds the heap, and at the end of input no
-lexical rule applies.  Rule scores and look-ahead word probabilities are
-read from caches that the context model and the look-ahead tables keep
-per model (see conditioning.py and lookahead.py).
+lexical rule applies.  Rule scores are read from the cache that the
+context model keeps (see conditioning.py).
 
 While words remain, the kernel also drops every analysis whose stack
 cannot derive a string that starts with the current word (a left-corner
@@ -48,6 +47,18 @@ bind, goals, masses and beam cutoffs are those of the unfiltered search
 and only pops and pushes fall; when it binds, a queue keeps every goal
 the unfiltered search would find and may find more.  Goals are never
 filtered, so a queue's mass still counts analyses that cannot continue.
+
+A parse meets the same few (stack, word) pairs over and over, so the
+parser keeps one memo for the push test, keyed by (stack, word).  An
+entry is the floored log look-ahead, computed on a miss by the full
+reachability scan and look-ahead walk, and it is an ``Unreachable``
+when words remain and the stack cannot start with the word.  Pushes and
+the queue filter skip an ``Unreachable``; goals and ``advance_mass`` read
+only its value.  The memo empties whenever the look-ahead tables change
+(their ``changes`` count moves, see lookahead.py), and it holds at most
+LOOKAHEAD_CACHE_CAP entries and is dropped whole when full: stacks grow
+with the grammar and words with the vocabulary.  The beam cutoff moves
+only when a goal is added, so it is computed then and not on every pop.
 
 The initial content of queue i, before any same-position work, is
 exactly the set of analyses that consumed the i-word prefix, so its
@@ -71,6 +82,22 @@ from .treebank import Tree
 
 class ParseError(ValueError):
     pass
+
+
+# Most (stack, word) pairs a parser keeps look-ahead values for: about 20
+# times the 3,100 or so that one pass of the benchmark's 3,000-noun lexicon
+# workload meets.
+LOOKAHEAD_CACHE_CAP = 2**16
+
+
+class Unreachable(float):
+    """A memoized log look-ahead whose stack cannot start with the word.
+
+    It is the look-ahead value itself, so goals and ``advance_mass`` add
+    it like any float, while pushes and the queue filter skip it.
+    """
+
+    __slots__ = ()
 
 
 @dataclass(frozen=True)
@@ -192,6 +219,10 @@ class BeamParser:
             sym: frozenset(c for c in corners[sym] | {sym} if c in grammar.preterminals)
             for sym in corners
         }
+        # (stack, word) -> floored log look-ahead, for the tables as they
+        # were at ``_memo_changes``; see the module docstring.
+        self._memo: dict[tuple[tuple[str, ...], Optional[str]], float] = {}
+        self._memo_changes = lookahead.changes
 
     # -- pieces ---------------------------------------------------------------
 
@@ -213,9 +244,36 @@ class BeamParser:
                 return False
         return False
 
+    def _fresh_memo(self) -> dict[tuple[tuple[str, ...], Optional[str]], float]:
+        """The push-test memo, emptied first if the look-ahead tables changed since it was filled."""
+        if self._memo_changes != self.lookahead.changes:
+            self._memo.clear()
+            self._memo_changes = self.lookahead.changes
+        return self._memo
+
+    def _fill(self, stack: tuple[str, ...], word: Optional[str]) -> float:
+        """Compute and keep the memo entry for ``(stack, word)``.
+
+        The entry is the floored log look-ahead, as an ``Unreachable``
+        when words remain and ``stack`` cannot start with ``word``.
+        """
+        memo = self._memo
+        if len(memo) >= LOOKAHEAD_CACHE_CAP:
+            memo.clear()
+        lap = self._lap_log(stack, word)
+        if word is not None and not self._reaches(stack, self.grammar.word_pos.get(word, frozenset())):
+            lap = Unreachable(lap)
+        memo[stack, word] = lap
+        return lap
+
+    def _lap(self, stack: tuple[str, ...], word: Optional[str]) -> float:
+        """The memo entry for ``(stack, word)``, computed on a miss."""
+        lap = self._fresh_memo().get((stack, word))
+        return self._fill(stack, word) if lap is None else lap
+
     def initial_entries(self, first_word: Optional[str]) -> list[Analysis]:
         stack = (self.grammar.start,)
-        return [Analysis(stack, None, 0.0, self._lap_log(stack, first_word), ())]
+        return [Analysis(stack, None, 0.0, float(self._lap(stack, first_word)), ())]
 
     def advance(
         self, entries: list[Analysis], word: str, next_word: Optional[str]
@@ -243,19 +301,21 @@ class BeamParser:
         budget = self.config.max_pops if base_beam else math.inf
         lexical = self.grammar.lexical
         phrasal = self.grammar.phrasal
+        memo = self._fresh_memo()
+        fill = self._fill
         if not ending:
             # An analysis that cannot reach the current word yields no goal.
-            reaches = self._reaches
-            tags = self.grammar.word_pos.get(word, frozenset())
-            entries = [e for e in entries if reaches(e.stack, tags)]
+            entries = [e for e in entries if self._lap(e.stack, word).__class__ is not Unreachable]
         tie = itertools.count()
         heap = [(-e.logf, next(tie), e) for e in entries]
         heapq.heapify(heap)
         goals: list[Analysis] = []
-        best = -math.inf
+        # The queue stops once its best entry falls below the cutoff, which
+        # moves only when a goal is added.
+        best = cutoff = -math.inf
         pops = pushes = 0
         while heap and pops < budget:
-            if goals and -heap[0][0] < beam_threshold(best, len(goals), base_beam):
+            if -heap[0][0] < cutoff:
                 break
             a = heapq.heappop(heap)[2]
             pops += 1
@@ -264,7 +324,9 @@ class BeamParser:
                 # input, a dead end while words remain.
                 if ending and a.tree is not None:
                     goals.append(a)
-                    best = max(best, a.logp)
+                    if a.logp > best:
+                        best = a.logp
+                    cutoff = beam_threshold(best, len(goals), base_beam)
                 continue
             top = a.stack[-1]
             rest = a.stack[:-1]
@@ -278,15 +340,21 @@ class BeamParser:
                 lp = score(rid)
                 if lp != -math.inf:
                     logp = a.logp + lp
-                    logf = logp + self._lap_log(rest, next_word)
-                    if not goals or logf >= beam_threshold(best, len(goals), base_beam):
+                    lap = memo.get((rest, next_word))
+                    logf = logp + (fill(rest, next_word) if lap is None else lap)
+                    if logf >= cutoff:
                         spine, done = apply_rule(a.spine, rule)
                         goals.append(Analysis(rest, spine, logp, logf, a.rules + (rid,), done))
                         pushes += 1
-                        best = max(best, logf)
+                        if logf > best:
+                            best = logf
+                        cutoff = beam_threshold(best, len(goals), base_beam)
             for rule, rid in phrasal[top]:
                 stack = rest + (rule.rhs[1], rule.rhs[0]) if rule.rhs else rest
-                if not ending and not reaches(stack, tags):
+                lap = memo.get((stack, word))
+                if lap is None:
+                    lap = fill(stack, word)
+                if lap.__class__ is Unreachable:
                     continue
                 lp = score(rid)
                 if lp == -math.inf:
@@ -298,9 +366,11 @@ class BeamParser:
                     # An epsilon rule closed the root: complete only at the end.
                     if ending:
                         goals.append(Analysis((), None, logp, logp, rules, done))
-                        best = max(best, logp)
+                        if logp > best:
+                            best = logp
+                        cutoff = beam_threshold(best, len(goals), base_beam)
                     continue
-                logf = logp + self._lap_log(stack, word)
+                logf = logp + lap
                 heapq.heappush(heap, (-logf, next(tie), Analysis(stack, spine, logp, logf, rules)))
                 pushes += 1
         if ending:
@@ -381,7 +451,7 @@ class BeamParser:
     def advance_mass(self, entries: list[Analysis], word: str) -> float:
         """Mass reaching the next queue if ``word`` came next."""
         rescored = [
-            Analysis(e.stack, e.spine, e.logp, e.logp + self._lap_log(e.stack, word), e.rules)
+            Analysis(e.stack, e.spine, e.logp, e.logp + self._lap(e.stack, word), e.rules)
             for e in entries
         ]
         return queue_mass(self.advance(rescored, word, None)[0])

@@ -224,6 +224,10 @@ def test_parse_names_file_and_field_of_bad_norm_value(g1_model_path, tmp_path, c
         ("ngram order 3", ["ngram order 3", "ngram count 2 Spot Rex ran 1"], r":\d+: ngram count 2 Spot Rex has no level-1 row to refine"),
         ("ctx 4 =NN =NP =DT =the =chased 2 1", ["ctx 4 =NN =NP =DT =the =chased 2 1", "ctx 5 =NN =NP =DT =the =chased _ 2 5"],
          r":\d+: ctx 4 =NN =NP =DT =the =chased counts sum to 1, below the 5 of its level-5 rows"),
+        ("ctx 4 =NN =NP =DT =the =chased 2 1", ["ctx 4 =NN =NP =DT =the =chased 2 1", "ctx 5 =NN =NP =DT =the =chased _ 2 1"],
+         r":\d+: ctx 5 =NN =NP =DT =the =chased _ is deeper than its path's depth, so no score reads it"),
+        ("ctx 5 =NN =NP _ =S _ _ 1 3", ["ctx 5 =NN =NP _ =S _ _ 1 3", "ctx 6 =NN =NP _ =S _ _ _ 1 3"],
+         r":\d+: ctx 6 =NN =NP _ =S _ _ _ is deeper than its path's depth, so no score reads it"),
     ],
 )
 def test_parse_names_file_of_bad_model(g1_model_path, tmp_path, capsys, line, replacement, message):

@@ -1,11 +1,13 @@
 import hashlib
 import math
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from support import as_corpus, factored_corpus, fixture_trees, random_corpus
 from tdparse.conditioning import (
+    CONJ_LABEL,
     LAMBDA_CAP,
     LEFT,
     MIDDLE,
@@ -24,7 +26,7 @@ from tdparse.conditioning import (
     replay,
     tune_interpolation,
 )
-from tdparse.grammar import Rule, induce_pcfg, left_factor_tree, tree_to_derivation
+from tdparse.grammar import Rule, induce_pcfg, left_factor_tree, split_factored, tree_to_derivation
 from tdparse.model_io import save_model, train_parser_model
 from tdparse.treebank import AXIOM, Tree, augment_with_stop, parse_trees
 
@@ -515,3 +517,48 @@ def test_depths_off_the_benchmark_are_pinned(desk_replay, g1_trees, tmp_path, sp
     model, _ = train_parser_model(as_corpus(g1_trees, "train"), as_corpus(g1_trees, "heldout"), cond_config=config)
     save_model(model, str(tmp_path / "g1.model"))
     assert hashlib.sha256((tmp_path / "g1.model").read_bytes()).hexdigest() == model_sha
+
+
+def _reference_extract_values(model, spine, lhs):
+    """``extract_values`` as it was before it tested the factor separator
+    in place of splitting the label: the reference it must match."""
+    base, consumed = split_factored(lhs)
+    if consumed:
+        parent_spine = spine.parent
+        within = spine.children
+    else:
+        parent_spine = spine
+        within = ()
+    siblings = parent_spine.children if parent_spine is not None else ()
+    y_s = siblings[-1].label if siblings else None
+    parent = parent_spine.label if parent_spine is not None else None
+    grand = parent_spine.parent if parent_spine is not None else None
+    grand_label = grand.label if grand is not None else None
+    if lhs not in model.grammar.preterminals:
+        path = LEFT
+        psibs = grand.children if grand is not None else ()
+        conj = None
+        if y_s == CONJ_LABEL and len(siblings) >= 2 and siblings[-2].children:
+            conj = siblings[-2].children[0].label
+        head = open_constituent_head(base, within)
+        values = (lhs, parent, y_s, grand_label, psibs[-1].label if psibs else None, conj,
+                  head[0] if head else None)
+    elif y_s is None:
+        path = MIDDLE
+        first = next(c_command_heads(spine), None)
+        values = (lhs, parent, y_s, grand_label, first[1] if first else None, first[0] if first else None)
+    else:
+        path = RIGHT
+        heads = list(islice(c_command_heads(spine), 2))
+        values = (lhs, parent, y_s, heads[0][0] if heads else None, heads[1][0] if len(heads) > 1 else None)
+    return path, values[: model.config.depth_for(path) + 1]
+
+
+@pytest.mark.parametrize("spec", [*PRESETS, "3,2,1", "0,5,0", "1,4,3", "6,1,1", "2,0,3"])
+def test_extract_values_matches_reference_on_desk(desk_replay, spec):
+    config = CondConfig(*map(int, spec.split(","))) if "," in spec else CondConfig.from_preset(spec)
+    grammar, expansions = desk_replay
+    cm = ContextModel(grammar, config)
+    assert cm.max_depth == config.max_depth
+    for spine, rule in expansions:
+        assert cm.extract_values(spine, rule.lhs) == _reference_extract_values(cm, spine, rule.lhs)

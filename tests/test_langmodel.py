@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from support import build_parser, fixture_trees, random_corpus, reference_unigram
+from tdparse import conditioning
 from tdparse.langmodel import (
     START_TOKEN,
     LangModelError,
@@ -173,6 +174,33 @@ def test_ngram_word_probs_padding(g1_sents):
     assert probs[0] == m.word_prob((START_TOKEN, START_TOKEN), "the")
     assert probs[1] == m.word_prob((START_TOKEN, "the"), "dog")
     assert probs[3] == m.word_prob(("dog", "ran"), END_TOKEN)
+
+
+def test_ngram_memo_matches_recomputation(desk, monkeypatch):
+    """Memoized probabilities equal a fresh estimator's: cold, warm, after each write, and under a cap."""
+    train, heldout = sentences_from_trees(desk.train.trees), sentences_from_trees(desk.heldout.trees)
+    m = NgramModel(order=3)
+    m.train(train[1:])
+    vocab = m.vocabulary + ["zebra"]
+    histories = sorted({ctx for _, ctx in m._histories(train + desk.sents)}) + [("zebra",), ()]
+
+    def recomputed():
+        return [m.estimator((), (), m._levels(h))(w) for h in histories for w in vocab]
+
+    def memoized():
+        return [m.word_prob(h, w) for h in histories for w in vocab]
+
+    untuned = memoized()
+    assert untuned == recomputed() == memoized()
+    m.tune(heldout)             # assigns the weights
+    tuned = memoized()
+    assert tuned == recomputed() == memoized() != untuned
+    m.train(train[:1])          # adds counts
+    assert memoized() == recomputed() != tuned
+    monkeypatch.setattr(conditioning, "SITE_CACHE_CAP", 4)
+    m.site_scores.clear()
+    assert memoized() == recomputed()
+    assert len(m.site_scores) <= 4 < len(histories)
 
 
 def test_mixed_probs():

@@ -2,8 +2,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from support import factored_corpus, fixture_trees, random_corpus
+from tdparse.conditioning import CondConfig, ContextModel
 from tdparse.grammar import induce_pcfg
 from tdparse.lookahead import LookaheadError, LookaheadTables
+from tdparse.parser import BeamParser
 from tdparse.treebank import AXIOM, EPSILON, parse_trees
 
 
@@ -151,16 +153,32 @@ def _word_probs(tables, words):
     return {(sym, w): tables.word_prob(sym, w) for sym in tables.occurrences for w in words}
 
 
+def _parser_on(tables, grammar):
+    return BeamParser(grammar, ContextModel(grammar, CondConfig(0, 0, 0)), tables)
+
+
+def _lookaheads(parser, words):
+    """The parser's memoized look-ahead of each symbol alone and under the start symbol."""
+    symbols = sorted(parser.lookahead.occurrences)
+    stacks = [(sym,) for sym in symbols] + [(sym, parser.grammar.start) for sym in symbols]
+    return {(stack, w): parser._lap(stack, w) for stack in stacks for w in words + [None]}
+
+
 def test_walk_empties_the_word_prob_memo(g1_trees):
     factored = factored_corpus(g1_trees)
     grammar = induce_pcfg(factored, AXIOM)
     tables = LookaheadTables.from_trees(grammar, factored[1:])
     words = sorted({w for t in factored for w in t.yield_tokens()})
+    parser = _parser_on(tables, grammar)
     before = _word_probs(tables, words)
+    memo_before = _lookaheads(parser, words)
     tables._walk(factored[0])
     after = _word_probs(tables, words)
-    assert after == _word_probs(LookaheadTables.from_trees(grammar, factored), words)
+    full = LookaheadTables.from_trees(grammar, factored)
+    assert after == _word_probs(full, words)
     assert after != before
+    # The parser's memo empties too: it reads what a parser on fresh tables reads.
+    assert _lookaheads(parser, words) == _lookaheads(_parser_on(full, grammar), words) != memo_before
 
 
 @pytest.mark.parametrize("attr", ["first_word", "first_pos"])
@@ -171,10 +189,14 @@ def test_table_assignment_empties_the_word_prob_memo(g1_trees, attr):
     tables = LookaheadTables.from_trees(grammar, factored[1:])
     full = LookaheadTables.from_trees(grammar, factored)
     words = sorted({w for t in factored for w in t.yield_tokens()})
+    parser = _parser_on(tables, grammar)
     before = _word_probs(tables, words)
+    memo_before = _lookaheads(parser, words)
     setattr(tables, attr, getattr(full, attr))
     after = _word_probs(tables, words)
     fresh = LookaheadTables(grammar)
     fresh.first_word, fresh.first_pos = tables.first_word, tables.first_pos
     assert after == _word_probs(fresh, words)
     assert after != before
+    # The parser's memo empties too: it reads what a parser on fresh tables reads.
+    assert _lookaheads(parser, words) == _lookaheads(_parser_on(fresh, grammar), words) != memo_before

@@ -11,8 +11,8 @@ from tdparse.grammar import left_factor_tree, log_tree_probability, unfactor_tre
 from tdparse.oracle import derivation_tree, enumerate_derivations
 from tdparse import conditioning
 from tdparse.conditioning import LEFT, apply_rule
-from tdparse.lookahead import LookaheadTables
-from tdparse.parser import Analysis, BeamParser, ParseError, ParserConfig, beam_threshold, queue_mass
+from tdparse import parser as parser_module
+from tdparse.parser import Analysis, BeamParser, ParseError, ParserConfig, Unreachable, beam_threshold, queue_mass
 from tdparse.treebank import END_TOKEN, augment_with_stop, parse_trees
 
 
@@ -518,27 +518,136 @@ class UncachedContext:
         return score
 
 
-class UncachedLookahead(LookaheadTables):
-    """Look-ahead that recomputes P(word | symbol) from the counts on every call."""
+class UnmemoizedParser(BeamParser):
+    """The kernel before the push-test memo: the reference the memo must match.
 
-    word_prob = LookaheadTables._word_prob
+    Every push runs the reachability scan and the look-ahead walk again,
+    and the beam cutoff is recomputed before every pop.
+    """
 
+    def initial_entries(self, first_word):
+        stack = (self.grammar.start,)
+        return [Analysis(stack, None, 0.0, self._lap_log(stack, first_word), ())]
 
-def _uncached_lookahead(tables, grammar):
-    """An ``UncachedLookahead`` holding ``tables``' counts, set as the model loader sets them."""
-    reference = UncachedLookahead(grammar, tables.smoothing_k)
-    reference.first_word, reference.first_pos = tables.first_word, tables.first_pos
-    return reference
+    def advance_mass(self, entries, word):
+        rescored = [
+            Analysis(e.stack, e.spine, e.logp, e.logp + self._lap_log(e.stack, word), e.rules)
+            for e in entries
+        ]
+        return queue_mass(self.advance(rescored, word, None)[0])
+
+    def _expand(self, entries, word, next_word):
+        ending = word is None
+        base_beam = self.config.base_beam
+        budget = self.config.max_pops if base_beam else math.inf
+        lexical = self.grammar.lexical
+        phrasal = self.grammar.phrasal
+        if not ending:
+            reaches = self._reaches
+            tags = self.grammar.word_pos.get(word, frozenset())
+            entries = [e for e in entries if reaches(e.stack, tags)]
+        tie = itertools.count()
+        heap = [(-e.logf, next(tie), e) for e in entries]
+        heapq.heapify(heap)
+        goals = []
+        best = -math.inf
+        pops = pushes = 0
+        while heap and pops < budget:
+            if goals and -heap[0][0] < beam_threshold(best, len(goals), base_beam):
+                break
+            a = heapq.heappop(heap)[2]
+            pops += 1
+            if not a.stack:
+                if ending and a.tree is not None:
+                    goals.append(a)
+                    best = max(best, a.logp)
+                continue
+            top = a.stack[-1]
+            rest = a.stack[:-1]
+            score = self.context.scorer(a.spine, top)
+            consume = lexical.get((top, word))
+            if consume is not None:
+                rule, rid = consume
+                lp = score(rid)
+                if lp != -math.inf:
+                    logp = a.logp + lp
+                    logf = logp + self._lap_log(rest, next_word)
+                    if not goals or logf >= beam_threshold(best, len(goals), base_beam):
+                        spine, done = apply_rule(a.spine, rule)
+                        goals.append(Analysis(rest, spine, logp, logf, a.rules + (rid,), done))
+                        pushes += 1
+                        best = max(best, logf)
+            for rule, rid in phrasal[top]:
+                stack = rest + (rule.rhs[1], rule.rhs[0]) if rule.rhs else rest
+                if not ending and not reaches(stack, tags):
+                    continue
+                lp = score(rid)
+                if lp == -math.inf:
+                    continue
+                logp = a.logp + lp
+                rules = a.rules + (rid,)
+                spine, done = apply_rule(a.spine, rule)
+                if not stack:
+                    if ending:
+                        goals.append(Analysis((), None, logp, logp, rules, done))
+                        best = max(best, logp)
+                    continue
+                logf = logp + self._lap_log(stack, word)
+                heapq.heappush(heap, (-logf, next(tie), Analysis(stack, spine, logp, logf, rules)))
+                pushes += 1
+        if ending:
+            goals.sort(key=lambda c: (-c.logp, c.rules))
+        return goals, pops, pushes
 
 
 def _uncached(parser):
-    """``parser``'s kernel and config on scorers and look-ahead that cache nothing."""
-    return BeamParser(
-        parser.grammar,
-        UncachedContext(parser.context),
-        _uncached_lookahead(parser.lookahead, parser.grammar),
-        parser.config,
-    )
+    """``parser``'s model and config in the unmemoized kernel, on scorers that cache nothing."""
+    return UnmemoizedParser(parser.grammar, UncachedContext(parser.context), parser.lookahead, parser.config)
+
+
+def _same_masses(parser, reference, words, candidates):
+    """Equal next-word masses at every prefix of ``words``."""
+    for k in range(len(words)):
+        entries = parser.prefix_entries(words[:k])
+        want_entries = reference.prefix_entries(words[:k])
+        assert [(e.logp, e.logf, e.rules) for e in entries] == [(e.logp, e.logf, e.rules) for e in want_entries]
+        for w in candidates:
+            assert parser.advance_mass(entries, w) == reference.advance_mass(want_entries, w)
+
+
+@pytest.mark.parametrize("gamma, max_pops", [(1e-11, 10_000), (1e-3, 10_000), (1e-11, 20)])
+def test_memoized_kernel_matches_unmemoized_kernel_on_desk(desk, gamma, max_pops):
+    m = desk.models["all"]
+    parser = BeamParser(m.grammar, m.context, m.lookahead, ParserConfig(base_beam=gamma, max_pops=max_pops))
+    reference = _rebuild(UnmemoizedParser, parser)
+    assert not parser._memo
+    for _ in range(2):  # cold, then from the memo
+        for words in desk.sents:
+            _same_search(parser, reference, words)
+        for words in desk.sents[:3]:
+            _same_masses(parser, reference, words, ["the", "desk", "ran", "zebra", END_TOKEN])
+    assert parser._memo
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(1, 8), seed=st.integers(0, 10_000))
+def test_memoized_kernel_matches_unmemoized_kernel_on_random_grammars(n, seed):
+    trees = random_corpus(n, seed)
+    try:
+        parser = build_parser(trees)
+    except ParseError:  # left recursion: exact mode would not terminate
+        parser = build_parser(trees, base_beam=1e-11, max_pops=500)
+    sents = [t.yield_tokens() + [END_TOKEN] for t in trees if len(t.yield_tokens()) <= 5][:3]
+    sents += [s[-2::-1] + [END_TOKEN] for s in sents[:1]]    # reversed, often ungrammatical
+    candidates = sorted(parser.grammar.word_pos)
+    for config in ({}, {"base_beam": 1e-3, "max_pops": 20}):
+        memoized = _rebuild(BeamParser, parser, **config)
+        reference = _rebuild(UnmemoizedParser, parser, **config)
+        for _ in range(2):  # cold, then from the memo
+            for words in sents:
+                _same_search(memoized, reference, words)
+            for words in sents[:1]:
+                _same_masses(memoized, reference, words, candidates)
 
 
 @pytest.mark.parametrize("gamma", [1e-11, 1e-3])
@@ -570,17 +679,20 @@ def test_cached_scores_match_uncached_kernel_on_random_grammars(n, seed):
 def test_memoized_lookahead_matches_recomputation(desk):
     m = desk.models["all"]
     tables = m.lookahead
-    reference = _uncached_lookahead(tables, m.grammar)
+    walked = BeamParser(m.grammar, m.context, tables)
+    for words in desk.sents:
+        walked.parse(words)
     symbols = sorted(tables.occurrences)
-    words = sorted({w for emitted in tables.pos_word.values() for w in emitted}) + [None]
-    stacks = [[sym] for sym in symbols] + [list(r.rhs) for r in m.grammar.rules if len(r.rhs) == 2]
+    words = sorted(m.grammar.word_pos) + ["zebra", None]
+    stacks = [(sym,) for sym in symbols] + [r.rhs[::-1] for r in m.grammar.rules if len(r.rhs) == 2] + [()]
+    pairs = list(walked._memo) + [(stack, word) for stack in stacks for word in words]
+    parser = BeamParser(m.grammar, m.context, tables)
     for _ in range(2):  # cold, then from the memo
-        for sym in symbols:
-            for word in words[:-1]:
-                assert tables.word_prob(sym, word) == reference.word_prob(sym, word)
-        for stack in stacks:
-            for word in words:
-                assert tables.stack_prob(stack, word) == reference.stack_prob(stack, word)
+        for stack, word in pairs:
+            got = parser._lap(stack, word)
+            assert got == math.log(max(tables.stack_prob(reversed(stack), word), parser.config.lap_floor))
+            tags = m.grammar.word_pos.get(word, frozenset())
+            assert isinstance(got, Unreachable) == (word is not None and not parser._reaches(stack, tags))
 
 
 class CappedContext:
@@ -608,3 +720,26 @@ def test_site_cache_cap_changes_no_output(desk, monkeypatch):
     for words in desk.sents:
         _same_search(parser, reference, words)
     assert capped.largest == 4
+
+
+class CappedParser(BeamParser):
+    """The memoized kernel, checking after every miss that the memo keeps to its cap."""
+
+    largest = 0
+
+    def _fill(self, stack, word):
+        lap = super()._fill(stack, word)
+        self.largest = max(self.largest, len(self._memo))
+        assert self.largest <= parser_module.LOOKAHEAD_CACHE_CAP
+        return lap
+
+
+def test_lookahead_cache_cap_changes_no_output(desk, monkeypatch):
+    monkeypatch.setattr(parser_module, "LOOKAHEAD_CACHE_CAP", 4)
+    m = desk.models["all"]
+    parser = CappedParser(m.grammar, m.context, m.lookahead)
+    reference = _rebuild(UnmemoizedParser, parser)
+    for words in desk.sents:
+        _same_search(parser, reference, words)
+    _same_masses(parser, reference, desk.sents[0], ["the", "desk", END_TOKEN])
+    assert parser.largest == 4
