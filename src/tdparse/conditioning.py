@@ -51,7 +51,6 @@ from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import reduce
-from itertools import islice
 from operator import add, itemgetter
 from typing import Callable, Iterable, Iterator, Optional
 
@@ -379,6 +378,13 @@ def c_command_heads(spine: Optional[SpineNode]) -> Iterator[tuple[str, str]]:
         node = node.parent
 
 
+def _last_completed(node: Optional[SpineNode]) -> Optional[Tree]:
+    """The last completed child of the nearest spine node, from ``node`` up, that has one."""
+    while node is not None and not node.children:
+        node = node.parent
+    return node.children[-1] if node is not None else None
+
+
 class ContextModel(InterpolationTable):
     """Count tables over conditioning-value prefixes, weights tied by path."""
 
@@ -423,56 +429,37 @@ class ContextModel(InterpolationTable):
             values = (lhs, parent, y_s, grand_label, psibs[-1].label if psibs else None, conj,
                       head[0] if head else None)
             return LEFT, values[: self._cut[LEFT]]
+        # A preterminal's label has no factor separator, so its siblings
+        # are the children of ``spine``, and the c-commanding heads are
+        # theirs from the last back, then those further up (see c_command_heads).
         if y_s is None:
-            # The closest c-commanding head: the last child of the nearest
-            # spine node that has one (see c_command_heads).
-            node = spine
-            while node is not None and not node.children:
-                node = node.parent
-            if node is None:
+            last = _last_completed(spine)
+            if last is None:
                 values = (lhs, parent, None, grand_label, None, None)
             else:
-                token, pos = head_of(node.children[-1])
+                token, pos = head_of(last)
                 values = (lhs, parent, None, grand_label, pos, token)
             return MIDDLE, values[: self._cut[MIDDLE]]
-        heads = list(islice(c_command_heads(spine), 2))
-        values = (lhs, parent, y_s, heads[0][0] if heads else None, heads[1][0] if len(heads) > 1 else None)
+        second = siblings[-2] if len(siblings) > 1 else _last_completed(grand)
+        values = (lhs, parent, y_s, head_of(siblings[-1])[0], head_of(second)[0] if second is not None else None)
         return RIGHT, values[: self._cut[RIGHT]]
 
-    def counts_go_deeper(self, level: int, key: tuple) -> bool:
-        """Whether every expansion counted under ``key`` at ``level`` also counts at ``level`` + 1.
+    def path_depths(self, level: int, key: tuple) -> tuple[int, int]:
+        """The shallowest and the deepest depth of the paths that can count ``key`` at ``level``.
 
         An expansion counts at the levels up to its path's depth.  The key
         shows the path: its lhs tells the left path from the preterminal
         ones, and from level 2 on its sibling value tells the middle path
-        (None) from the right one.
+        (None) from the right one.  Below level 2 a preterminal key may
+        belong to either preterminal path.
         """
         c = self.config
         if key[0] not in self.grammar.preterminals:
-            depth = c.phrasal_depth
-        elif level >= 2:
+            return c.phrasal_depth, c.phrasal_depth
+        if level >= 2:
             depth = c.first_pos_depth if key[2] is None else c.later_pos_depth
-        else:
-            depth = min(c.first_pos_depth, c.later_pos_depth)
-        return depth > level
-
-    def unread_keys(self, level: int) -> list[tuple]:
-        """The keys counted at ``level`` that no score reads: ``level`` is deeper than their path's depth.
-
-        The key shows the path as in ``counts_go_deeper``.  Below level 2 a
-        preterminal key is read if either preterminal path reaches ``level``.
-        """
-        c = self.config
-        left = level > c.phrasal_depth
-        middle = level > c.first_pos_depth
-        right = level > c.later_pos_depth
-        if level < 2:
-            middle = right = middle and right
-        preterminals = self.grammar.preterminals
-        return [
-            key for key in self.totals[level]
-            if (left if key[0] not in preterminals else middle if level < 2 or key[2] is None else right)
-        ]
+            return depth, depth
+        return min(c.first_pos_depth, c.later_pos_depth), max(c.first_pos_depth, c.later_pos_depth)
 
     @staticmethod
     def _levels(values: tuple) -> list[tuple[int, tuple]]:

@@ -20,13 +20,11 @@ erases, which is what remains once every input word is consumed.
 These numbers rank analyses only; derivation probabilities never include
 them.  No flooring happens here, callers clamp as they see fit.
 
-Nothing is cached here.  The parser keeps the floored log look-ahead of
-each (stack, word) pair it meets (see parser.py), and learns from
-``changes`` that the tables changed under it.  ``changes`` grows when
-``_walk`` counts a constituent and when any attribute is assigned, as
-the model loader does with the first-word and first-preterminal counts.
-A write straight into one of the count dicts is not counted, so make
-those before the first parse.
+The tables are complete when built: ``from_trees`` counts the first
+words and tags of the training trees, the model loader passes the counts
+it read, and nothing writes them afterwards.  Nothing is cached here;
+the parser keeps the floored log look-ahead of each (stack, word) pair
+it meets (see parser.py).
 """
 
 from __future__ import annotations
@@ -41,62 +39,40 @@ class LookaheadError(ValueError):
     pass
 
 
+# symbol -> first word (or first preterminal) of its yield -> count
+FirstCounts = dict[str, dict[str, int]]
+
+
 class LookaheadTables:
     """First-word, first-preterminal and erasure counts per symbol.
 
     Occurrence, erasure and preterminal-word counts are the grammar's own
     tables (``lhs_counts``, ``erased`` and ``pos_word`` of ``Pcfg``), never
-    written here; only the first-word and first-preterminal counts need trees.
+    written here; only the first-word and first-preterminal counts need trees,
+    or a model file that holds them.
     """
 
-    def __init__(self, grammar: Pcfg, smoothing_k: int = 5):
+    def __init__(self, grammar: Pcfg, first_word: FirstCounts, first_pos: FirstCounts, smoothing_k: int = 5):
         if smoothing_k < 0:
             raise LookaheadError("smoothing_k must be nonnegative")
-        self.changes = 0
         self.smoothing_k = smoothing_k
         self.occurrences = grammar.lhs_counts
         self.erased = grammar.erased
         self.pos_word = grammar.pos_word
-        self.first_word: dict[str, dict[str, int]] = {}
-        self.first_pos: dict[str, dict[str, int]] = {}
+        self.first_word = first_word
+        self.first_pos = first_pos
         self.pos_total: dict[str, int] = {pos: sum(words.values()) for pos, words in self.pos_word.items()}
-
-    def __setattr__(self, name: str, value) -> None:
-        # word_prob reads every table, so replacing one is a change.
-        if name != "changes":
-            self.changes += 1
-        super().__setattr__(name, value)
 
     @classmethod
     def from_trees(cls, grammar: Pcfg, trees: Iterable[Tree], smoothing_k: int = 5) -> "LookaheadTables":
         """Tables for ``grammar`` with first-word counts from its training trees."""
-        tables = cls(grammar, smoothing_k)
+        first_word: FirstCounts = {}
+        first_pos: FirstCounts = {}
         for t in trees:
-            tables._walk(t)
-        if not tables.first_word:
+            _walk(t, first_word, first_pos)
+        if not first_word:
             raise LookaheadError("no constituents to collect lookahead counts from")
-        return tables
-
-    def _walk(self, t: Tree) -> Optional[tuple[str, str]]:
-        # Returns the (word, preterminal) pair heading t's yield, or None
-        # when the yield is empty.  Epsilon leaves are not words.
-        if t.is_preterminal:
-            token = t.children[0].label
-            first = None if token == EPSILON else (token, t.label)
-        else:
-            first = None
-            for child in t.children:
-                r = self._walk(child)
-                if first is None:
-                    first = r
-        if first is not None:
-            self.changes += 1
-            word, pos = first
-            fw = self.first_word.setdefault(t.label, {})
-            fw[word] = fw.get(word, 0) + 1
-            fp = self.first_pos.setdefault(t.label, {})
-            fp[pos] = fp.get(pos, 0) + 1
-        return first
+        return cls(grammar, first_word, first_pos, smoothing_k)
 
     def word_prob(self, symbol: str, word: str) -> float:
         """Probability that ``symbol`` expands to a yield starting with ``word``."""
@@ -135,3 +111,27 @@ class LookaheadTables:
         if word is None:
             return weight
         return p
+
+
+def _walk(t: Tree, first_word: FirstCounts, first_pos: FirstCounts) -> Optional[tuple[str, str]]:
+    """Count the first word and preterminal of every constituent of ``t``.
+
+    Returns the (word, preterminal) pair heading t's yield, or None when
+    the yield is empty.  Epsilon leaves are not words.
+    """
+    if t.is_preterminal:
+        token = t.children[0].label
+        first = None if token == EPSILON else (token, t.label)
+    else:
+        first = None
+        for child in t.children:
+            r = _walk(child, first_word, first_pos)
+            if first is None:
+                first = r
+    if first is not None:
+        word, pos = first
+        fw = first_word.setdefault(t.label, {})
+        fw[word] = fw.get(word, 0) + 1
+        fp = first_pos.setdefault(t.label, {})
+        fp[pos] = fp.get(pos, 0) + 1
+    return first

@@ -38,8 +38,8 @@ FORMAT_NAME = "tdparse-model"
 FORMAT_VERSION = 1
 
 # lap record kind -> its LookaheadTables count table, keyed by one field (occ,
-# eps) or by two (fw, fp, pw).  The loader installs the fw and fp rows and
-# checks the others against the tables derived from the rule counts.
+# eps) or by two (fw, fp, pw).  The loader builds the tables with the fw and
+# fp rows and checks the others against the tables derived from the rule counts.
 LAP_TABLES = {"occ": "occurrences", "eps": "erased", "fw": "first_word", "fp": "first_pos", "pw": "pos_word"}
 # Counts are positive, and each count row's key appears once.
 BAD_COUNT = "count below 1 or repeated count row"
@@ -295,19 +295,13 @@ def save_model(model: ParserModel, path: str) -> None:
 
     la = model.lookahead
     lines.append(f"lap k {la.smoothing_k}")
-    for label in sorted(la.occurrences):
-        lines.append(f"lap occ {label} {la.occurrences[label]}")
-    for label in sorted(la.erased):
-        lines.append(f"lap eps {label} {la.erased[label]}")
-    for label in sorted(la.first_word):
-        for word in sorted(la.first_word[label]):
-            lines.append(f"lap fw {label} {word} {la.first_word[label][word]}")
-    for label in sorted(la.first_pos):
-        for pos in sorted(la.first_pos[label]):
-            lines.append(f"lap fp {label} {pos} {la.first_pos[label][pos]}")
-    for pos in sorted(la.pos_word):
-        for word in sorted(la.pos_word[pos]):
-            lines.append(f"lap pw {pos} {word} {la.pos_word[pos][word]}")
+    for kind, attr in LAP_TABLES.items():
+        table = getattr(la, attr)
+        for label in sorted(table):
+            if kind in ("occ", "eps"):
+                lines.append(f"lap {kind} {label} {table[label]}")
+            else:
+                lines.extend(f"lap {kind} {label} {key} {n}" for key, n in sorted(table[label].items()))
 
     m = model.ngram
     lines.append(f"ngram order {m.order}")
@@ -452,7 +446,7 @@ def load_model(path: str) -> ParserModel:
         normalization = NormalizationConfig(strip_punctuation=strip, vocab_cap=vocab_cap)
         grammar = Pcfg(rule_counts, single["grammar start"])
         context = ContextModel(grammar, CondConfig(*single["cond config"]))
-        lookahead = LookaheadTables(grammar, single["lap k"])
+        lookahead = LookaheadTables(grammar, lap["fw"], lap["fp"], single["lap k"])
         ngram = NgramModel(ngram_order)
     except (TreebankError, GrammarError, ConditioningError, LookaheadError, LangModelError) as exc:
         raise ModelIOError(f"{path}: {exc}") from None
@@ -471,21 +465,30 @@ def load_model(path: str) -> ParserModel:
     level0 = {(lhs,): {rid: rule_counts[r] for r, rid, _ in exps} for lhs, exps in grammar.by_lhs.items()}
     if context.tables[0] != level0:
         raise ModelIOError(f"{path}: level-0 ctx counts differ from the rule counts")
-    _check_nesting(path, lines, context.totals, slice(-1), context.counts_go_deeper,
+    depths = context.path_depths
+    _check_nesting(path, lines, context.totals, slice(-1), lambda level, key: depths(level, key)[0] > level,
                    lambda level, key: ["ctx", str(level), *map(_enc, key)])
     # Each path's counts stop at its depth, so a deeper row is never read.
     for level in range(1, len(context.totals)):
-        unread = context.unread_keys(level)
+        unread = [key for key in context.totals[level] if depths(level, key)[1] < level]
         if unread:
             fields = ["ctx", str(level), *map(_enc, unread[0])]
             raise ModelIOError(
                 f"{path}:{_line_of(lines, fields)}: {' '.join(fields)} is deeper than its path's depth, so no score reads it"
             )
+    # Every ctx value names a grammar symbol or word.
+    named = grammar.by_lhs.keys() | grammar.vocabulary | {None}
+    for level, totals in enumerate(context.totals):
+        unnamed = set().union(*totals) - named
+        if unnamed:
+            value = min(unnamed)
+            fields = ["ctx", str(level), *map(_enc, next(key for key in totals if value in key))]
+            raise ModelIOError(
+                f"{path}:{_line_of(lines, fields)}: {' '.join(fields)}: {value} is not a grammar symbol or word"
+            )
 
     for kind, attr in LAP_TABLES.items():
-        if kind in ("fw", "fp"):
-            setattr(lookahead, attr, lap[kind])
-        elif lap[kind] != getattr(lookahead, attr):
+        if kind not in ("fw", "fp") and lap[kind] != getattr(lookahead, attr):
             raise ModelIOError(f"{path}: lap {kind} counts differ from the rule counts")
     # Every occurrence of a symbol either erases or starts with one word and one tag.
     for kind in ("fw", "fp"):
@@ -498,6 +501,13 @@ def load_model(path: str) -> ParserModel:
                 raise ModelIOError(
                     f"{path}:{lineno}: lap {kind} counts of {sym} sum to {got}, not {want} (lap occ less lap eps)"
                 )
+    # First words are grammar words and first tags are preterminals.
+    for kind, known, what in (("fw", grammar.vocabulary, "a grammar word"),
+                              ("fp", grammar.preterminals, "a preterminal")):
+        for sym, counts in lap[kind].items():
+            if not counts.keys() <= known:
+                fields = ["lap", kind, sym, min(counts.keys() - known)]
+                raise ModelIOError(f"{path}:{_line_of(lines, fields)}: {' '.join(fields)}: {fields[-1]} is not {what}")
 
     for lineno, level, ctx, word, count in ngram_rows:
         if not 0 <= level < ngram.order:

@@ -54,11 +54,12 @@ entry is the floored log look-ahead, computed on a miss by the full
 reachability scan and look-ahead walk, and it is an ``Unreachable``
 when words remain and the stack cannot start with the word.  Pushes and
 the queue filter skip an ``Unreachable``; goals and ``advance_mass`` read
-only its value.  The memo empties whenever the look-ahead tables change
-(their ``changes`` count moves, see lookahead.py), and it holds at most
-LOOKAHEAD_CACHE_CAP entries and is dropped whole when full: stacks grow
-with the grammar and words with the vocabulary.  The beam cutoff moves
-only when a goal is added, so it is computed then and not on every pop.
+only its value.  The look-ahead tables are complete when built (see
+lookahead.py) and the grammar is fixed, so the memo lives as long as its
+parser.  It holds at most LOOKAHEAD_CACHE_CAP entries and is dropped
+whole when full: stacks grow with the grammar and words with the
+vocabulary.  The beam cutoff moves only when a goal is added, so it is
+computed then and not on every pop.
 
 The initial content of queue i, before any same-position work, is
 exactly the set of analyses that consumed the i-word prefix, so its
@@ -219,10 +220,8 @@ class BeamParser:
             sym: frozenset(c for c in corners[sym] | {sym} if c in grammar.preterminals)
             for sym in corners
         }
-        # (stack, word) -> floored log look-ahead, for the tables as they
-        # were at ``_memo_changes``; see the module docstring.
+        # (stack, word) -> floored log look-ahead; see the module docstring.
         self._memo: dict[tuple[tuple[str, ...], Optional[str]], float] = {}
-        self._memo_changes = lookahead.changes
 
     # -- pieces ---------------------------------------------------------------
 
@@ -244,13 +243,6 @@ class BeamParser:
                 return False
         return False
 
-    def _fresh_memo(self) -> dict[tuple[tuple[str, ...], Optional[str]], float]:
-        """The push-test memo, emptied first if the look-ahead tables changed since it was filled."""
-        if self._memo_changes != self.lookahead.changes:
-            self._memo.clear()
-            self._memo_changes = self.lookahead.changes
-        return self._memo
-
     def _fill(self, stack: tuple[str, ...], word: Optional[str]) -> float:
         """Compute and keep the memo entry for ``(stack, word)``.
 
@@ -268,7 +260,7 @@ class BeamParser:
 
     def _lap(self, stack: tuple[str, ...], word: Optional[str]) -> float:
         """The memo entry for ``(stack, word)``, computed on a miss."""
-        lap = self._fresh_memo().get((stack, word))
+        lap = self._memo.get((stack, word))
         return self._fill(stack, word) if lap is None else lap
 
     def initial_entries(self, first_word: Optional[str]) -> list[Analysis]:
@@ -301,7 +293,7 @@ class BeamParser:
         budget = self.config.max_pops if base_beam else math.inf
         lexical = self.grammar.lexical
         phrasal = self.grammar.phrasal
-        memo = self._fresh_memo()
+        memo = self._memo
         fill = self._fill
         if not ending:
             # An analysis that cannot reach the current word yields no goal.

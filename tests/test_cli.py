@@ -228,6 +228,11 @@ def test_parse_names_file_and_field_of_bad_norm_value(g1_model_path, tmp_path, c
          r":\d+: ctx 5 =NN =NP =DT =the =chased _ is deeper than its path's depth, so no score reads it"),
         ("ctx 5 =NN =NP _ =S _ _ 1 3", ["ctx 5 =NN =NP _ =S _ _ 1 3", "ctx 6 =NN =NP _ =S _ _ _ 1 3"],
          r":\d+: ctx 6 =NN =NP _ =S _ _ _ is deeper than its path's depth, so no score reads it"),
+        # rows that name a word, tag or symbol the grammar lacks
+        ("lap fw NP Spot 3", ["lap fw NP Zzz 3"], r":\d+: lap fw NP Zzz: Zzz is not a grammar word"),
+        ("lap fp NP NN 3", ["lap fp NP QQ 3"], r":\d+: lap fp NP QQ: QQ is not a preterminal"),
+        ("ctx 4 =NN =NP =DT =the =chased 2 1", ["ctx 4 =NN =NP =DT =the =Zzz 2 1"],
+         r":\d+: ctx 4 =NN =NP =DT =the =Zzz: Zzz is not a grammar symbol or word"),
     ],
 )
 def test_parse_names_file_of_bad_model(g1_model_path, tmp_path, capsys, line, replacement, message):

@@ -91,6 +91,9 @@ def test_loaded_model_scores_identically(g1_model, tmp_path):
     assert loaded.context.lambdas == orig.context.lambdas
     assert loaded.unigram == orig.unigram
     assert loaded.ngram.lambdas == orig.ngram.lambdas
+    assert loaded.lookahead.first_word == orig.lookahead.first_word
+    assert loaded.lookahead.first_pos == orig.lookahead.first_pos
+    assert loaded.lookahead.smoothing_k == orig.lookahead.smoothing_k
 
     fact = [left_factor_tree(augment_with_stop(t)) for t in fixture_trees("g1.trees")]
     for spine, rule in replay(fact):
