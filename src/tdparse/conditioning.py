@@ -7,6 +7,13 @@ holding the completed subtrees to its left.  The spine is immutable and
 shared between candidate analyses, so extending one analysis never
 disturbs another.
 
+What a rule does to the spine, ``spine_step(rule)``, is built once per
+rule by the parser and once per call by ``replay``.  A lexical rule's
+step builds its preterminal subtree once, and every spine, analysis and
+finished tree it extends shares it.  That is safe because a ``Tree`` is
+never changed: ``_hash`` and ``_head`` only cache what its label and
+children determine.
+
 From the spine we read off one fixed schedule of conditioning values for
 the expansion of a left-hand side A, and cut it after the configured
 depth of its path.  Which schedule applies depends on where A sits:
@@ -54,7 +61,7 @@ from functools import reduce
 from operator import add, itemgetter
 from typing import Callable, Iterable, Iterator, Optional
 
-from .grammar import Pcfg, Rule, split_factored, tree_to_derivation
+from .grammar import Pcfg, Rule, tree_to_derivation
 from .treebank import FACTOR_SEP, Tree
 
 LEFT = "left"
@@ -208,7 +215,14 @@ HEAD_TABLE: dict[str, tuple[str, tuple[str, ...]]] = {
     "FRAG": ("right", ()),
     "X": ("right", ()),
 }
-HEAD_FALLBACK = ("left", ())
+
+# HEAD_TABLE with each priority list as label -> its index: the head is
+# the child whose label has the lowest index.  Other labels scan from the left.
+HEAD_RANKS: dict[str, tuple[str, dict[str, int]]] = {
+    label: (direction, {want: i for i, want in enumerate(priorities)})
+    for label, (direction, priorities) in HEAD_TABLE.items()
+}
+HEAD_FALLBACK = ("left", {})
 
 # The left path's conjunction peek looks behind a left sibling with this label.
 CONJ_LABEL = "CC"
@@ -282,43 +296,63 @@ class SpineNode:
         self.parent = parent
 
 
-def apply_rule(spine: Optional[SpineNode], rule: Rule) -> tuple[Optional[SpineNode], Optional[Tree]]:
-    """Advance the partial-tree spine by one rule of a leftmost derivation.
+def spine_step(rule: Rule) -> Callable[[Optional[SpineNode]], tuple[Optional[SpineNode], Optional[Tree]]]:
+    """What ``rule`` does to the partial-tree spine, as a function of the spine.
 
-    Returns the new spine and, when the rule closes the root constituent,
-    the finished tree.
+    The function returns the new spine and, when the rule closes the root
+    constituent, the finished tree; see the module docstring.
     """
     if rule.lexical:
         t = Tree(rule.lhs, (Tree(rule.rhs[0]),))
-        if spine is None:
-            # The whole derivation was a single preterminal.
-            return None, t
-        return SpineNode(spine.label, spine.children + (t,), spine.parent), None
+
+        def attach(spine):
+            if spine is None:
+                # The whole derivation was a single preterminal.
+                return None, t
+            return SpineNode(spine.label, spine.children + (t,), spine.parent), None
+
+        return attach
     if not rule.rhs:
-        t = Tree(spine.label, spine.children)
-        parent = spine.parent
-        if parent is None:
-            return None, t
-        return SpineNode(parent.label, parent.children + (t,), parent.parent), None
-    base, consumed = split_factored(rule.lhs)
-    if consumed:
+        return _close
+    if FACTOR_SEP in rule.lhs:
         # Continuing an already-open constituent; the new child attaches
         # when it is itself expanded.
-        return spine, None
-    return SpineNode(base, (), spine), None
+        return lambda spine: (spine, None)
+    label = rule.lhs
+    return lambda spine: (SpineNode(label, (), spine), None)
+
+
+def _close(spine: SpineNode) -> tuple[Optional[SpineNode], Optional[Tree]]:
+    t = Tree(spine.label, spine.children)
+    parent = spine.parent
+    if parent is None:
+        return None, t
+    return SpineNode(parent.label, parent.children + (t,), parent.parent), None
+
+
+def apply_rule(spine: Optional[SpineNode], rule: Rule) -> tuple[Optional[SpineNode], Optional[Tree]]:
+    """Advance the partial-tree spine by one rule of a leftmost derivation.
+
+    The one-off form of ``spine_step(rule)(spine)``: returns the new spine
+    and, when the rule closes the root constituent, the finished tree.
+    """
+    return spine_step(rule)(spine)
 
 
 def replay(trees: Iterable[Tree]) -> Iterator[tuple[Optional[SpineNode], Rule]]:
     """Yield (context spine, rule) for every expansion in the given trees.
 
     The spine is the state *before* the rule applies, exactly what the
-    parser sees when it scores the same expansion.
+    parser sees when it scores the same expansion.  Each rule's step is
+    built once per call.
     """
+    steps: dict[Rule, Callable] = {}
     for t in trees:
         spine: Optional[SpineNode] = None
         for rule in tree_to_derivation(t):
             yield spine, rule
-            spine, _ = apply_rule(spine, rule)
+            step = steps.get(rule) or steps.setdefault(rule, spine_step(rule))
+            spine, _ = step(spine)
 
 
 def head_of(t: Tree) -> tuple[str, str]:
@@ -337,13 +371,8 @@ def head_of(t: Tree) -> tuple[str, str]:
 
 
 def head_child(label: str, children: tuple[Tree, ...]) -> Tree:
-    direction, priorities = HEAD_TABLE.get(label, HEAD_FALLBACK)
-    ordered = children if direction == "left" else children[::-1]
-    for want in priorities:
-        for child in ordered:
-            if child.label == want:
-                return child
-    return ordered[0]
+    direction, ranks = HEAD_RANKS.get(label, HEAD_FALLBACK)
+    return _best_ranked(children if direction == "left" else children[::-1], ranks)
 
 
 def open_constituent_head(label: str, children: tuple[Tree, ...]) -> Optional[tuple[str, str]]:
@@ -355,12 +384,18 @@ def open_constituent_head(label: str, children: tuple[Tree, ...]) -> Optional[tu
     """
     if not children:
         return None
-    _, priorities = HEAD_TABLE.get(label, HEAD_FALLBACK)
-    for want in priorities:
-        for child in reversed(children):
-            if child.label == want:
-                return head_of(child)
-    return head_of(children[-1])
+    return head_of(_best_ranked(children[::-1], HEAD_RANKS.get(label, HEAD_FALLBACK)[1]))
+
+
+def _best_ranked(ordered: tuple[Tree, ...], ranks: dict[str, int]) -> Tree:
+    """The child of the best-ranked label, the first of them in ``ordered``; else ``ordered[0]``."""
+    best = ordered[0]
+    top = len(ranks)
+    for child in ordered:
+        rank = ranks.get(child.label, top)
+        if rank < top:
+            best, top = child, rank
+    return best
 
 
 def c_command_heads(spine: Optional[SpineNode]) -> Iterator[tuple[str, str]]:

@@ -23,14 +23,17 @@ left-corner graph.  On an ambiguous grammar its cost can grow
 exponentially with sentence length.
 
 Expanding a symbol visits its phrasal rules and at most one lexical
-rule, read from the rule index that the grammar builds once (see
-``Pcfg`` in grammar.py): (preterminal, word) maps to the only rule that
-can rewrite the one as the other, so the cost of a pop does not grow
-with the vocabulary.  The lexical successor is handled
-first.  That moves no output: it only adds a goal, while mid-sentence a
-phrasal successor only feeds the heap, and at the end of input no
-lexical rule applies.  Rule scores are read from the cache that the
-context model keeps (see conditioning.py).
+rule, read from successor tables that the parser builds once from the
+grammar's rule index (see ``Pcfg`` in grammar.py): (preterminal, word)
+maps to the only rule that can rewrite the one as the other, so the cost
+of a pop does not grow with the vocabulary.  Each entry carries the
+rule's id, the symbols it pushes and its spine step (see conditioning.py),
+built once per parser.  A lexical step attaches one preterminal subtree,
+which analyses and results share: a ``Tree`` is never changed once built.
+The lexical successor is handled first.  That moves no output: it only
+adds a goal, while mid-sentence a phrasal successor only feeds the heap,
+and at the end of input no lexical rule applies.  Rule scores are read
+from the cache that the context model keeps (see conditioning.py).
 
 While words remain, the kernel also drops every analysis whose stack
 cannot derive a string that starts with the current word (a left-corner
@@ -75,7 +78,8 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .conditioning import ContextModel, SpineNode, apply_rule
+# apply_rule stays a module attribute: perfbench/tracing.py wraps parser.apply_rule.
+from .conditioning import ContextModel, SpineNode, apply_rule, spine_step  # noqa: F401
 from .grammar import Pcfg
 from .lookahead import LookaheadTables
 from .treebank import Tree
@@ -222,6 +226,13 @@ class BeamParser:
         }
         # (stack, word) -> floored log look-ahead; see the module docstring.
         self._memo: dict[tuple[tuple[str, ...], Optional[str]], float] = {}
+        # Successor tables with each rule's spine step: (tag, word) -> (rule id, step),
+        # lhs -> its phrasal (rule id, symbols pushed top last, step) in rule order.
+        self._lexical = {key: (rid, spine_step(rule)) for key, (rule, rid) in grammar.lexical.items()}
+        self._phrasal = {
+            lhs: tuple((rid, rule.rhs[::-1], spine_step(rule)) for rule, rid in expansions)
+            for lhs, expansions in grammar.phrasal.items()
+        }
 
     # -- pieces ---------------------------------------------------------------
 
@@ -291,8 +302,9 @@ class BeamParser:
         ending = word is None
         base_beam = self.config.base_beam
         budget = self.config.max_pops if base_beam else math.inf
-        lexical = self.grammar.lexical
-        phrasal = self.grammar.phrasal
+        lexical = self._lexical
+        phrasal = self._phrasal
+        scorer = self.context.scorer
         memo = self._memo
         fill = self._fill
         if not ending:
@@ -322,27 +334,27 @@ class BeamParser:
                 continue
             top = a.stack[-1]
             rest = a.stack[:-1]
-            score = self.context.scorer(a.spine, top)
+            score = scorer(a.spine, top)
             # The lexical successor only adds a goal, and a phrasal one
             # mid-sentence only feeds the heap, so it may go first.  At the
             # end of input (top, None) matches no lexical rule.
             consume = lexical.get((top, word))
             if consume is not None:
-                rule, rid = consume
+                rid, step = consume
                 lp = score(rid)
                 if lp != -math.inf:
                     logp = a.logp + lp
                     lap = memo.get((rest, next_word))
                     logf = logp + (fill(rest, next_word) if lap is None else lap)
                     if logf >= cutoff:
-                        spine, done = apply_rule(a.spine, rule)
+                        spine, done = step(a.spine)
                         goals.append(Analysis(rest, spine, logp, logf, a.rules + (rid,), done))
                         pushes += 1
                         if logf > best:
                             best = logf
                         cutoff = beam_threshold(best, len(goals), base_beam)
-            for rule, rid in phrasal[top]:
-                stack = rest + (rule.rhs[1], rule.rhs[0]) if rule.rhs else rest
+            for rid, pushed, step in phrasal[top]:
+                stack = rest + pushed
                 lap = memo.get((stack, word))
                 if lap is None:
                     lap = fill(stack, word)
@@ -353,7 +365,7 @@ class BeamParser:
                     continue
                 logp = a.logp + lp
                 rules = a.rules + (rid,)
-                spine, done = apply_rule(a.spine, rule)
+                spine, done = step(a.spine)
                 if not stack:
                     # An epsilon rule closed the root: complete only at the end.
                     if ending:

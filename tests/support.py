@@ -5,8 +5,8 @@ from __future__ import annotations
 import random
 from pathlib import Path
 
-from tdparse.conditioning import CondConfig, ContextModel
-from tdparse.grammar import induce_pcfg, left_factor_tree
+from tdparse.conditioning import CondConfig, ContextModel, SpineNode
+from tdparse.grammar import induce_pcfg, left_factor_tree, split_factored, tree_to_derivation
 from tdparse.lookahead import LookaheadTables
 from tdparse.parser import BeamParser, ParserConfig
 from tdparse.treebank import AXIOM, END_TOKEN, Corpus, Tree, augment_with_stop, read_trees
@@ -50,6 +50,39 @@ def reference_unigram(sentences) -> dict[str, float]:
             counts[w] = counts.get(w, 0) + 1
             total += 1
     return {w: c / total for w, c in sorted(counts.items())}
+
+
+def reference_apply_rule(spine, rule):
+    """Advance a spine by one rule, working out what the rule does on every call.
+
+    Shares no code with ``conditioning.spine_step``: the independent
+    reference that the steps, and the reference parser kernels, are
+    checked against.
+    """
+    if rule.lexical:
+        t = Tree(rule.lhs, (Tree(rule.rhs[0]),))
+        if spine is None:
+            return None, t
+        return SpineNode(spine.label, spine.children + (t,), spine.parent), None
+    if not rule.rhs:
+        t = Tree(spine.label, spine.children)
+        parent = spine.parent
+        if parent is None:
+            return None, t
+        return SpineNode(parent.label, parent.children + (t,), parent.parent), None
+    base, consumed = split_factored(rule.lhs)
+    if consumed:
+        return spine, None
+    return SpineNode(base, (), spine), None
+
+
+def reference_spines(trees):
+    """The spine before every expansion of ``trees``, built by ``reference_apply_rule``."""
+    for t in trees:
+        spine = None
+        for rule in tree_to_derivation(t):
+            yield spine
+            spine, _ = reference_apply_rule(spine, rule)
 
 
 def build_parser(

@@ -1,13 +1,15 @@
 import hashlib
 import math
+from functools import partial
 from itertools import islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from support import as_corpus, factored_corpus, fixture_trees, random_corpus
+from support import as_corpus, factored_corpus, fixture_trees, random_corpus, reference_apply_rule, reference_spines
 from tdparse.conditioning import (
     CONJ_LABEL,
+    HEAD_TABLE,
     LAMBDA_CAP,
     LEFT,
     MIDDLE,
@@ -21,13 +23,15 @@ from tdparse.conditioning import (
     apply_rule,
     bucket_of,
     c_command_heads,
+    head_child,
     head_of,
     open_constituent_head,
     replay,
+    spine_step,
     tune_interpolation,
 )
 from tdparse.grammar import Rule, induce_pcfg, left_factor_tree, split_factored, tree_to_derivation
-from tdparse.model_io import save_model, train_parser_model
+from tdparse.model_io import prepare_trees, save_model, train_parser_model
 from tdparse.treebank import AXIOM, Tree, augment_with_stop, parse_trees
 
 
@@ -91,6 +95,64 @@ def test_apply_rule_single_preterminal():
     assert spine is None and done == _pt("STOP", "</s>")
 
 
+def _chain(spine):
+    """A spine as (label, children) pairs from the node up to the root."""
+    out = []
+    while spine is not None:
+        out.append((spine.label, spine.children))
+        spine = spine.parent
+    return out
+
+
+def _outcome(step, spine):
+    try:
+        new, done = step(spine)
+    except AttributeError:  # an epsilon rule with no open constituent to close
+        return "no spine"
+    return _chain(new), done
+
+
+def _check_steps(factored):
+    """Every rule's step, on every distinct replayed spine, equals the reference."""
+    grammar = induce_pcfg(factored, AXIOM)
+    spines = {}
+    for spine in reference_spines(factored):
+        spines.setdefault(tuple(_chain(spine)), spine)
+    for rule in grammar.rules:
+        step = spine_step(rule)
+        for spine in spines.values():
+            assert _outcome(step, spine) == _outcome(partial(reference_apply_rule, rule=rule), spine)
+    return len(grammar.rules) * len(spines)
+
+
+@pytest.mark.parametrize("name", ["g1", "g2", "g3", "g4", "g5"])
+def test_spine_steps_match_reference_on_fixtures(name):
+    assert _check_steps(factored_corpus(fixture_trees(f"{name}.trees")))
+
+
+def test_spine_steps_match_reference_on_desk(desk):
+    trees = prepare_trees(desk.train, desk.models["all"]).trees
+    assert _check_steps([left_factor_tree(augment_with_stop(t)) for t in trees])
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(1, 8), seed=st.integers(0, 10_000))
+def test_spine_steps_match_reference_on_random_grammars(n, seed):
+    assert _check_steps(factored_corpus(random_corpus(n, seed)))
+
+
+def test_lexical_step_attaches_one_subtree(g1):
+    grammar, _, fact = g1
+    spines = [spine for spine, _ in replay(fact) if spine is not None]
+    for rule in grammar.rules:
+        if rule.lexical:
+            step = spine_step(rule)
+            t = step(None)[1]
+            assert t == _pt(rule.lhs, rule.rhs[0])
+            assert step(None)[1] is t
+            assert all(step(spine)[0].children[-1] is t for spine in spines)
+
+
 def test_replay_yields_state_before_rule(g1_trees):
     fact = factored_corpus(g1_trees)
     pairs = list(replay(fact[:1]))
@@ -118,6 +180,31 @@ def test_open_constituent_head():
     # no priority hit yet: the newest child stands proxy
     assert open_constituent_head("NP", (the,)) == ("the", "DT")
     assert open_constituent_head("NP", (the, cat)) == ("cat", "NN")
+
+
+def _scan_head(label, ordered):
+    """The head child by scanning the priorities in turn, each over ``ordered``."""
+    for want in HEAD_TABLE.get(label, ("left", ()))[1]:
+        for child in ordered:
+            if child.label == want:
+                return child
+    return ordered[0]
+
+
+HEAD_LABELS = sorted({want for _, priorities in HEAD_TABLE.values() for want in priorities} | {"FOO"})
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    label=st.sampled_from(sorted(HEAD_TABLE) + ["FOO"]),
+    kids=st.lists(st.tuples(st.sampled_from(HEAD_LABELS), st.sampled_from(["a", "b", "c"])), min_size=1, max_size=6),
+)
+def test_head_ranks_match_priority_scan(label, kids):
+    children = tuple(_pt(tag, tok) for tag, tok in kids)
+    direction = HEAD_TABLE.get(label, ("left", ()))[0]
+    ordered = children if direction == "left" else children[::-1]
+    assert head_child(label, children) is _scan_head(label, ordered)
+    assert open_constituent_head(label, children) == head_of(_scan_head(label, children[::-1]))
 
 
 def test_c_command_heads_nearest_first():

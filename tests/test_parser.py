@@ -2,18 +2,19 @@ import dataclasses
 import heapq
 import itertools
 import math
+from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from support import build_parser, fixture_sentences, fixture_trees, random_corpus
+from support import build_parser, fixture_sentences, fixture_trees, random_corpus, reference_apply_rule
 from tdparse.grammar import left_factor_tree, log_tree_probability, unfactor_tree
 from tdparse.oracle import derivation_tree, enumerate_derivations
 from tdparse import conditioning
-from tdparse.conditioning import LEFT, apply_rule
+from tdparse.conditioning import LEFT
 from tdparse import parser as parser_module
 from tdparse.parser import Analysis, BeamParser, ParseError, ParserConfig, Unreachable, beam_threshold, queue_mass
-from tdparse.treebank import END_TOKEN, augment_with_stop, parse_trees
+from tdparse.treebank import END_TOKEN, Tree, augment_with_stop, parse_trees
 
 
 @pytest.fixture(scope="module")
@@ -240,7 +241,22 @@ def test_exact_mode_rejects_unary_cycle():
 
 
 class UnfilteredParser(BeamParser):
-    """The kernel with the reachability filter off: the reference the filter must match."""
+    """The kernel with the reachability filter off: the reference the filter must match.
+
+    Its spine steps call ``reference_apply_rule``, so it shares no spine
+    code with the kernel it checks.
+    """
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        rules = self.grammar.rules
+        self._lexical = {
+            key: (rid, partial(reference_apply_rule, rule=rules[rid])) for key, (rid, _) in self._lexical.items()
+        }
+        self._phrasal = {
+            lhs: tuple((rid, pushed, partial(reference_apply_rule, rule=rules[rid])) for rid, pushed, _ in entries)
+            for lhs, entries in self._phrasal.items()
+        }
 
     def _reaches(self, stack, tags):
         return True
@@ -348,7 +364,8 @@ class ScanningParser(BeamParser):
     """The kernel before the lexical index: the reference the index must match.
 
     Each pop walks every expansion of the popped symbol in rule order and
-    skips the lexical rules whose word does not match.
+    skips the lexical rules whose word does not match.  Spine steps go
+    through ``reference_apply_rule``.
     """
 
     def _expand(self, entries, word, next_word):
@@ -399,12 +416,12 @@ class ScanningParser(BeamParser):
                     logf = logp + self._lap_log(stack, next_word)
                     if not exact and goals and logf < beam_threshold(best, len(goals), base_beam):
                         continue
-                    spine, done = apply_rule(a.spine, rule)
+                    spine, done = reference_apply_rule(a.spine, rule)
                     goals.append(Analysis(stack, spine, logp, logf, rules, done))
                     pushes += 1
                     best = max(best, logf)
                     continue
-                spine, done = apply_rule(a.spine, rule)
+                spine, done = reference_apply_rule(a.spine, rule)
                 if not stack:
                     if ending:
                         goals.append(Analysis((), None, logp, logp, rules, done))
@@ -522,7 +539,8 @@ class UnmemoizedParser(BeamParser):
     """The kernel before the push-test memo: the reference the memo must match.
 
     Every push runs the reachability scan and the look-ahead walk again,
-    and the beam cutoff is recomputed before every pop.
+    the beam cutoff is recomputed before every pop, and spine steps go
+    through ``reference_apply_rule``.
     """
 
     def initial_entries(self, first_word):
@@ -573,7 +591,7 @@ class UnmemoizedParser(BeamParser):
                     logp = a.logp + lp
                     logf = logp + self._lap_log(rest, next_word)
                     if not goals or logf >= beam_threshold(best, len(goals), base_beam):
-                        spine, done = apply_rule(a.spine, rule)
+                        spine, done = reference_apply_rule(a.spine, rule)
                         goals.append(Analysis(rest, spine, logp, logf, a.rules + (rid,), done))
                         pushes += 1
                         best = max(best, logf)
@@ -586,7 +604,7 @@ class UnmemoizedParser(BeamParser):
                     continue
                 logp = a.logp + lp
                 rules = a.rules + (rid,)
-                spine, done = apply_rule(a.spine, rule)
+                spine, done = reference_apply_rule(a.spine, rule)
                 if not stack:
                     if ending:
                         goals.append(Analysis((), None, logp, logp, rules, done))
@@ -743,3 +761,31 @@ def test_lookahead_cache_cap_changes_no_output(desk, monkeypatch):
         _same_search(parser, reference, words)
     _same_masses(parser, reference, desk.sents[0], ["the", "desk", END_TOKEN])
     assert parser.largest == 4
+
+
+def _preterminals(tree):
+    stack = [tree]
+    while stack:
+        t = stack.pop()
+        if t.is_preterminal:
+            yield t
+        else:
+            stack.extend(t.children)
+
+
+def test_shared_preterminals_survive_a_desk_pass(desk):
+    m = desk.models["all"]
+    parser = BeamParser(m.grammar, m.context, m.lookahead)
+    shared = {key: step(None)[1] for key, (_, step) in parser._lexical.items()}
+    before = {key: (t.label, t.children, t.children[0].label, t.children[0].children) for key, t in shared.items()}
+    used = 0
+    for words in desk.sents:
+        result = parser.parse(words)
+        for t in _preterminals(result.tree):
+            # Every parse result holds the step's own subtree, not a copy.
+            assert t is shared[t.label, t.children[0].label]
+            used += 1
+    assert used
+    after = {key: (t.label, t.children, t.children[0].label, t.children[0].children) for key, t in shared.items()}
+    assert after == before
+    assert all(t == Tree(pos, (Tree(word),)) for (pos, word), t in shared.items())
