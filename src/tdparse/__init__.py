@@ -45,7 +45,6 @@ from .conditioning import (
     PRESETS,
     SpineNode,
     apply_rule,
-    c_command_heads,
     head_of,
     tune_interpolation,
 )
@@ -85,7 +84,7 @@ __all__ = [
     "log_tree_probability", "tree_probability", "tree_to_derivation",
     "unfactor_tree",
     "CondConfig", "ConditioningError", "ContextModel", "PRESETS",
-    "SpineNode", "apply_rule", "c_command_heads", "head_of",
+    "SpineNode", "apply_rule", "head_of",
     "tune_interpolation",
     "LookaheadError", "LookaheadTables",
     "Analysis", "BeamParser", "ParseError", "ParseResult", "ParserConfig",

@@ -156,7 +156,10 @@ def _iter_input(args, model):
         if args.max_len and len(tokens) > args.max_len:
             skipped += 1
             continue
-        rows.append((lineno, model.prepare(tokens)))
+        try:
+            rows.append((lineno, model.prepare(tokens)))
+        except TreebankError as exc:
+            raise TreebankError(f"{args.input}:{lineno}: {exc}") from None
     return rows, skipped
 
 

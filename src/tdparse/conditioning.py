@@ -234,7 +234,7 @@ PRESETS: dict[str, tuple[int, int, int]] = {
     "nt-head": (6, 2, 2),
     "pos-struct": (6, 3, 2),
     "attach": (6, 5, 2),
-    "all": (6, 6, 4),
+    "all": (6, 5, 4),
 }
 
 
@@ -244,7 +244,7 @@ class CondConfig:
 
     ``phrasal_depth`` governs the left path, ``first_pos_depth`` the
     middle path, ``later_pos_depth`` the right path.  Depth 0 everywhere
-    is the plain PCFG.  Values clamp to each path's maximum.
+    is the plain PCFG.  Each depth lies in 0..its path's maximum (PATH_MAX).
     """
 
     phrasal_depth: int = 6
@@ -261,7 +261,7 @@ class CondConfig:
             if v < 0:
                 raise ConditioningError(f"{name} must be nonnegative")
             if v > ceiling:
-                object.__setattr__(self, name, ceiling)
+                raise ConditioningError(f"{name} {v} is above its path's maximum {ceiling}")
 
     @classmethod
     def from_preset(cls, name: str) -> "CondConfig":
@@ -398,21 +398,6 @@ def _best_ranked(ordered: tuple[Tree, ...], ranks: dict[str, int]) -> Tree:
     return best
 
 
-def c_command_heads(spine: Optional[SpineNode]) -> Iterator[tuple[str, str]]:
-    """Heads of constituents c-commanding the node pending under ``spine``.
-
-    Nearest first: completed left siblings of the pending node, then the
-    left siblings of each open ancestor on the way to the root.  A closed
-    constituent contributes its percolated head, so material inside it
-    never surfaces separately.
-    """
-    node = spine
-    while node is not None:
-        for sib in reversed(node.children):
-            yield head_of(sib)
-        node = node.parent
-
-
 def _last_completed(node: Optional[SpineNode]) -> Optional[Tree]:
     """The last completed child of the nearest spine node, from ``node`` up, that has one."""
     while node is not None and not node.children:
@@ -465,8 +450,9 @@ class ContextModel(InterpolationTable):
                       head[0] if head else None)
             return LEFT, values[: self._cut[LEFT]]
         # A preterminal's label has no factor separator, so its siblings
-        # are the children of ``spine``, and the c-commanding heads are
-        # theirs from the last back, then those further up (see c_command_heads).
+        # are the children of ``spine``.  The c-commanding heads, nearest
+        # first, are the heads of those siblings from the last back, then
+        # of the left siblings of each open ancestor up to the root.
         if y_s is None:
             last = _last_completed(spine)
             if last is None:

@@ -37,26 +37,10 @@ from .treebank import (
 FORMAT_NAME = "tdparse-model"
 FORMAT_VERSION = 1
 
-# lap record kind -> its LookaheadTables count table, keyed by one field (occ,
-# eps) or by two (fw, fp, pw).  The loader builds the tables with the fw and
-# fp rows and checks the others against the tables derived from the rule counts.
-LAP_TABLES = {"occ": "occurrences", "eps": "erased", "fw": "first_word", "fp": "first_pos", "pw": "pos_word"}
 # Counts are positive, and each count row's key appears once.
 BAD_COUNT = "count below 1 or repeated count row"
 # Records a model file holds exactly once.
 ONCE = ("grammar start", "cond config", "ngram order", "norm strip_punctuation", "norm vocab_cap", "lap k")
-# The rows that write down the fixed protocol symbols, by record: reserved
-# tokens, punctuation labels, conjunction label and head rules.  A model file
-# holds each row exactly once, and no other row of these records.
-FIXED_ROWS = {
-    "norm number_token": [f"norm number_token {NUMBER_TOKEN}"],
-    "norm unk_token": [f"norm unk_token {UNK_TOKEN}"],
-    "norm end_token": [f"norm end_token {END_TOKEN}"],
-    "norm punct_label": [f"norm punct_label {label}" for label in sorted(PUNCT_LABELS)],
-    "cond conj": [f"cond conj {CONJ_LABEL}"],
-    "head": [" ".join(["head", label, direction, *priorities]) for label, (direction, priorities) in sorted(HEAD_TABLE.items())],
-}
-FIXED = dict.fromkeys(row for rows in FIXED_ROWS.values() for row in rows)
 
 
 class ModelIOError(ValueError):
@@ -179,14 +163,6 @@ def _once(table: dict, key, value) -> None:
     table[key] = value
 
 
-def _fixed_row(single: dict, parts: list[str]) -> None:
-    """Note one row of the fixed protocol symbols; any other content is an error."""
-    row = " ".join(parts)
-    if row not in FIXED:
-        raise _BadLine(f"not one of the fixed {parts[0]} rows: {row}")
-    _once(single, row, None)
-
-
 def _add_weight(weights: dict, key: tuple, text: str, lineno: int) -> None:
     """Note one interpolation weight and its line; EM only writes weights in [0, LAMBDA_CAP]."""
     lam = float(text)
@@ -210,14 +186,10 @@ def _weights(path: str, record: str, rows: dict, top) -> dict:
 
 
 def _line_of(lines: list[str], *rows: list) -> int:
-    """Number of the first line that starts with the fields of one of ``rows``, tried in order.
-
-    A field given as None matches any field.
-    """
+    """Number of the first line that starts with the fields of one of ``rows``, tried in order."""
     for row in rows:
         for lineno, line in enumerate(lines, 1):
-            fields = line.split()
-            if len(fields) >= len(row) and all(want in (None, got) for want, got in zip(row, fields)):
+            if line.split()[: len(row)] == row:
                 return lineno
     raise ValueError(f"no line starts with any of {rows}")
 
@@ -261,24 +233,54 @@ def _rule_line(rule: Rule, count: int) -> str:
     return f"rule {count} bin {rule.lhs} {rule.rhs[0]} {rule.rhs[1]}"
 
 
+def _copied_rows(grammar: Pcfg) -> dict[str, list[str]]:
+    """Every row that follows from the grammar and the fixed protocol symbols alone, by record.
+
+    The fixed symbols are the reserved tokens, the punctuation labels, the
+    conjunction label and the head rules.  From the grammar follow the
+    vocabulary (its words and the unknown token), the rule counts per lhs
+    (``ctx 0`` and ``lap occ``), the epsilon and lexical rule counts
+    (``lap eps``, ``lap pw``) and each word's lexical counts summed over its
+    tags (the unigram, ``ngram count 0``).  ``save_model`` writes these
+    records from here alone, and ``load_model`` checks that a file holds
+    each row once and no other row of these records.
+    """
+    unigram = Counter()
+    for words in grammar.pos_word.values():
+        unigram.update(words)
+    return {
+        "norm number_token": [f"norm number_token {NUMBER_TOKEN}"],
+        "norm unk_token": [f"norm unk_token {UNK_TOKEN}"],
+        "norm end_token": [f"norm end_token {END_TOKEN}"],
+        "norm punct_label": [f"norm punct_label {label}" for label in sorted(PUNCT_LABELS)],
+        "vocab": [f"vocab {token}" for token in sorted(grammar.vocabulary | {UNK_TOKEN})],
+        "cond conj": [f"cond conj {CONJ_LABEL}"],
+        "head": [" ".join(["head", label, direction, *priorities]) for label, (direction, priorities) in sorted(HEAD_TABLE.items())],
+        "ctx 0": [f"ctx 0 ={lhs} {rid} {grammar.rule_counts[rule]}"
+                  for lhs, expansions in sorted(grammar.by_lhs.items()) for rule, rid, _ in expansions],
+        "lap occ": [f"lap occ {lhs} {n}" for lhs, n in sorted(grammar.lhs_counts.items())],
+        "lap eps": [f"lap eps {lhs} {n}" for lhs, n in sorted(grammar.erased.items())],
+        "lap pw": [f"lap pw {pos} {word} {n}" for pos, words in sorted(grammar.pos_word.items()) for word, n in sorted(words.items())],
+        "ngram count 0": [f"ngram count 0 {word} {n}" for word, n in sorted(unigram.items())],
+    }
+
+
 def _count_lines(record: str, table: InterpolationTable, enc) -> Iterator[str]:
-    """One line per count: record, level, encoded key fields, outcome, count."""
-    for level, counts in enumerate(table.tables):
+    """One line per count above level 0: record, level, encoded key fields, outcome, count."""
+    for level, counts in enumerate(table.tables[1:], 1):
         for key in sorted(counts, key=lambda k: [enc(v) for v in k]):
             for outcome in sorted(counts[key]):
                 yield " ".join([record, str(level), *map(enc, key), str(outcome), str(counts[key][outcome])])
 
 
 def save_model(model: ParserModel, path: str) -> None:
+    copies = _copied_rows(model.grammar)
     lines: list[str] = [f"{FORMAT_NAME} {FORMAT_VERSION}"]
     n = model.normalization
     lines.append(f"norm strip_punctuation {int(n.strip_punctuation)}")
-    lines += FIXED_ROWS["norm number_token"]
+    lines += copies["norm number_token"]
     lines.append(f"norm vocab_cap {n.vocab_cap}")
-    for record in ("norm unk_token", "norm end_token", "norm punct_label"):
-        lines += FIXED_ROWS[record]
-    for token in sorted(model.vocabulary):
-        lines.append(f"vocab {token}")
+    lines += copies["norm unk_token"] + copies["norm end_token"] + copies["norm punct_label"] + copies["vocab"]
 
     g = model.grammar
     lines.append(f"grammar start {g.start}")
@@ -288,23 +290,23 @@ def save_model(model: ParserModel, path: str) -> None:
     c = model.context
     cc = c.config
     lines.append(f"cond config {cc.phrasal_depth} {cc.first_pos_depth} {cc.later_pos_depth}")
-    lines += FIXED_ROWS["cond conj"] + FIXED_ROWS["head"]
+    lines += copies["cond conj"] + copies["head"]
     for (path_name, level, bucket), lam in sorted(c.lambdas.items()):
         lines.append(f"clam {path_name} {level} {bucket} {lam!r}")
+    lines += copies["ctx 0"]
     lines.extend(_count_lines("ctx", c, _enc))
 
     la = model.lookahead
     lines.append(f"lap k {la.smoothing_k}")
-    for kind, attr in LAP_TABLES.items():
-        table = getattr(la, attr)
+    lines += copies["lap occ"] + copies["lap eps"]
+    for kind, table in (("fw", la.first_word), ("fp", la.first_pos)):
         for label in sorted(table):
-            if kind in ("occ", "eps"):
-                lines.append(f"lap {kind} {label} {table[label]}")
-            else:
-                lines.extend(f"lap {kind} {label} {key} {n}" for key, n in sorted(table[label].items()))
+            lines.extend(f"lap {kind} {label} {key} {n}" for key, n in sorted(table[label].items()))
+    lines += copies["lap pw"]
 
     m = model.ngram
     lines.append(f"ngram order {m.order}")
+    lines += copies["ngram count 0"]
     lines.extend(_count_lines("ngram count", m, str))
     for (level, bucket), lam in sorted(m.lambdas.items()):
         lines.append(f"ngram lam {level} {bucket} {lam!r}")
@@ -329,13 +331,13 @@ def load_model(path: str) -> ParserModel:
             f"{path}: model format version {head[1]} is not supported (expected {FORMAT_VERSION})"
         )
 
-    # The value of each record in ONCE, and None for each fixed row.
+    # The value of each record in ONCE, and the line of each row of a record with copied rows.
     single: dict[str, object] = {}
-    vocab: dict[str, None] = {}
+    kept: dict[str, int] = {}
     rule_counts: dict[Rule, int] = {}
     clams: dict[tuple[str, int, int], tuple[float, int]] = {}
     ctx_rows: list[tuple[int, int, tuple, int, int]] = []
-    lap: dict[str, dict] = {kind: {} for kind in LAP_TABLES}
+    lap: dict[str, dict] = {"fw": {}, "fp": {}}
     ngram_rows: list[tuple[int, int, tuple[str, ...], str, int]] = []
     nglams: dict[tuple[int, int], tuple[float, int]] = {}
 
@@ -346,16 +348,13 @@ def load_model(path: str) -> ParserModel:
         kind = parts[0]
         try:
             if kind == "norm":
-                if f"norm {parts[1]}" in FIXED_ROWS:
-                    _fixed_row(single, parts)
-                else:
+                if f"norm {parts[1]}" in ONCE:
                     _, name, value = parts
-                    if f"norm {name}" not in ONCE:
-                        raise _BadLine(f"unknown norm field {name!r}")
                     _once(single, f"norm {name}", value)
-            elif kind == "vocab":
-                _, token = parts
-                _once(vocab, token, None)
+                else:
+                    _once(kept, " ".join(parts), lineno)
+            elif kind in ("vocab", "head"):
+                _once(kept, " ".join(parts), lineno)
             elif kind == "grammar":
                 _, sub, value = parts
                 if sub != "start":
@@ -369,16 +368,9 @@ def load_model(path: str) -> ParserModel:
             elif kind == "cond":
                 if parts[1] == "config":
                     _, _, phrasal, first_pos, later_pos = parts
-                    depths = (int(phrasal), int(first_pos), int(later_pos))
-                    if any(d > top for d, top in zip(depths, PATH_MAX.values())):
-                        raise _BadLine(f"cond config depths exceed {' '.join(map(str, PATH_MAX.values()))}")
-                    _once(single, "cond config", depths)
-                elif parts[1] == "conj":
-                    _fixed_row(single, parts)
+                    _once(single, "cond config", CondConfig(int(phrasal), int(first_pos), int(later_pos)))
                 else:
-                    raise _BadLine(f"unknown cond record {parts[1]!r}")
-            elif kind == "head":
-                _fixed_row(single, parts)
+                    _once(kept, " ".join(parts), lineno)
             elif kind == "clam":
                 _, path_name, level, bucket, lam = parts
                 if path_name not in PATH_MAX:
@@ -386,6 +378,9 @@ def load_model(path: str) -> ParserModel:
                 _add_weight(clams, (path_name, int(level), int(bucket)), lam, lineno)
             elif kind == "ctx":
                 level = int(parts[1])
+                if level == 0:
+                    _once(kept, " ".join(parts), lineno)
+                    continue
                 _expect_fields(parts, level + 5)
                 values = tuple(map(_dec, parts[2 : 3 + level]))
                 ctx_rows.append((lineno, level, values, int(parts[3 + level]), int(parts[4 + level])))
@@ -394,16 +389,13 @@ def load_model(path: str) -> ParserModel:
                     _, _, k = parts
                     _once(single, "lap k", int(k))
                 elif parts[1] in lap:
-                    table, fields = lap[parts[1]], parts[2:]
-                    if parts[1] not in ("occ", "eps"):
-                        table, fields = table.setdefault(fields[0], {}), fields[1:]
-                    key, count = fields
-                    n = int(count)
+                    _, sub, sym, key, count = parts
+                    table, n = lap[sub].setdefault(sym, {}), int(count)
                     if n < 1 or key in table:
                         raise _BadLine(f"{BAD_COUNT}: {line}")
                     table[key] = n
                 else:
-                    raise _BadLine(f"unknown lap record {parts[1]!r}")
+                    _once(kept, " ".join(parts), lineno)
             elif kind == "ngram":
                 if parts[1] == "order":
                     _, _, order = parts
@@ -411,22 +403,21 @@ def load_model(path: str) -> ParserModel:
                 elif parts[1] == "lam":
                     _, _, level, bucket, lam = parts
                     _add_weight(nglams, (int(level), int(bucket)), lam, lineno)
-                elif parts[1] == "count":
-                    level = int(parts[2])
+                elif parts[1] == "count" and (level := int(parts[2])) != 0:
                     _expect_fields(parts, level + 5)
                     ctx = tuple(parts[3 : 3 + level])
                     ngram_rows.append((lineno, level, ctx, parts[3 + level], int(parts[4 + level])))
                 else:
-                    raise _BadLine(f"unknown ngram record {parts[1]!r}")
+                    _once(kept, " ".join(parts), lineno)
             else:
                 raise _BadLine(f"unknown record {kind!r}")
         except (IndexError, ValueError) as exc:
-            reason = exc if isinstance(exc, _BadLine) else f"malformed line: {line}"
+            reason = exc if isinstance(exc, (_BadLine, ConditioningError)) else f"malformed line: {line}"
             raise ModelIOError(f"{path}:{lineno}: {reason}") from exc
 
     if not rule_counts:
         raise ModelIOError(f"{path}: missing grammar section")
-    for key in (*ONCE, *FIXED):
+    for key in ONCE:
         if key not in single:
             raise ModelIOError(f"{path}: missing row: {key}")
 
@@ -437,20 +428,33 @@ def load_model(path: str) -> ParserModel:
         vocab_cap = int(single["norm vocab_cap"])
     except ValueError:
         raise ModelIOError(f"{path}: norm field 'vocab_cap' must be an integer") from None
-    # A trained n-gram model has counts at every level below its order.
+    # Level 0 comes from the grammar; a trained n-gram model has counts at every level above it below its order.
     ngram_order = single["ngram order"]
-    top = max((row[1] for row in ngram_rows), default=-1)
+    top = max((row[1] for row in ngram_rows), default=0)
     if ngram_order > top + 1:
         raise ModelIOError(f"{path}: ngram order {ngram_order} but no counts above level {top}")
     try:
         normalization = NormalizationConfig(strip_punctuation=strip, vocab_cap=vocab_cap)
         grammar = Pcfg(rule_counts, single["grammar start"])
-        context = ContextModel(grammar, CondConfig(*single["cond config"]))
+        context = ContextModel(grammar, single["cond config"])
         lookahead = LookaheadTables(grammar, lap["fw"], lap["fp"], single["lap k"])
         ngram = NgramModel(ngram_order)
-    except (TreebankError, GrammarError, ConditioningError, LookaheadError, LangModelError) as exc:
+    except (TreebankError, GrammarError, LookaheadError, LangModelError) as exc:
         raise ModelIOError(f"{path}: {exc}") from None
 
+    copies = {row: None for rows in _copied_rows(grammar).values() for row in rows}
+    for row, lineno in kept.items():
+        if row not in copies:
+            raise ModelIOError(f"{path}:{lineno}: not one of the copied rows: {row}")
+    if len(kept) < len(copies):
+        raise ModelIOError(f"{path}: missing row: {next(row for row in copies if row not in kept)}")
+    del kept, copies  # checked; freed before the tables fill, to keep the peak down
+    for lhs, expansions in grammar.by_lhs.items():
+        for rule, rid, _ in expansions:
+            context.add(0, (lhs,), rid, rule_counts[rule])
+    for words in grammar.pos_word.values():
+        for word, n in words.items():
+            ngram.add(0, (), word, n)
     context.lambdas = _weights(path, "clam", clams, lambda key: context.config.depth_for(key[0]))
     for lineno, level, values, rid, count in ctx_rows:
         if not (0 <= level < len(context.tables) and 0 <= rid < len(grammar.rules)):
@@ -462,9 +466,6 @@ def load_model(path: str) -> ParserModel:
         if count < 1 or context.add(level, values, rid, count) != count:
             raise ModelIOError(f"{path}:{lineno}: {BAD_COUNT}: {lines[lineno - 1]}")
     del ctx_rows  # installed; freed before the checks below build their sums, to keep the peak down
-    level0 = {(lhs,): {rid: rule_counts[r] for r, rid, _ in exps} for lhs, exps in grammar.by_lhs.items()}
-    if context.tables[0] != level0:
-        raise ModelIOError(f"{path}: level-0 ctx counts differ from the rule counts")
     depths = context.path_depths
     _check_nesting(path, lines, context.totals, slice(-1), lambda level, key: depths(level, key)[0] > level,
                    lambda level, key: ["ctx", str(level), *map(_enc, key)])
@@ -487,9 +488,6 @@ def load_model(path: str) -> ParserModel:
                 f"{path}:{_line_of(lines, fields)}: {' '.join(fields)}: {value} is not a grammar symbol or word"
             )
 
-    for kind, attr in LAP_TABLES.items():
-        if kind not in ("fw", "fp") and lap[kind] != getattr(lookahead, attr):
-            raise ModelIOError(f"{path}: lap {kind} counts differ from the rule counts")
     # Every occurrence of a symbol either erases or starts with one word and one tag.
     for kind in ("fw", "fp"):
         for sym in sorted(lookahead.occurrences.keys() | lap[kind].keys()):
@@ -514,31 +512,15 @@ def load_model(path: str) -> ParserModel:
             raise ModelIOError(f"{path}:{lineno}: ngram count level {level} is outside 0..{ngram.order - 1}")
         if count < 1 or ngram.add(level, ctx, word, count) != count:
             raise ModelIOError(f"{path}:{lineno}: {BAD_COUNT}: {lines[lineno - 1]}")
-    # The unigram counts every word as often as the grammar's lexical rules do.
-    unigram, emitted = ngram.tables[0].get((), {}), Counter()
-    for words in grammar.pos_word.values():
-        emitted.update(words)
-    if unigram != emitted:
-        word = min(w for w in unigram.keys() | emitted.keys() if unigram.get(w) != emitted.get(w))
-        lineno = _line_of(lines, ["ngram", "count", "0", word], ["rule", None, "lex", None, word])
-        raise ModelIOError(
-            f"{path}:{lineno}: ngram count 0 of {word} is {unigram.get(word, 0)}, not {emitted.get(word, 0)} (its lexical rule counts)"
-        )
     # Every token counts at every level of its padded history.
     _check_nesting(path, lines, ngram.totals, slice(1, None), lambda level, key: True,
                    lambda level, key: ["ngram", "count", str(level), *key])
     ngram.lambdas = _weights(path, "ngram lam", nglams, lambda key: ngram.order - 1)
 
-    model = ParserModel(
+    return ParserModel(
         normalization=normalization,
         grammar=grammar,
         context=context,
         lookahead=lookahead,
         ngram=ngram,
     )
-    # The vocab rows are a copy of the grammar's words and the unknown token.
-    if vocab.keys() != model.vocabulary:
-        token = min(vocab.keys() ^ model.vocabulary)
-        problem = "missing row" if token in model.vocabulary else "row for a word the grammar lacks"
-        raise ModelIOError(f"{path}: {problem}: vocab {token}")
-    return model

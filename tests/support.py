@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 from pathlib import Path
 
-from tdparse.conditioning import CondConfig, ContextModel, SpineNode
+from tdparse.conditioning import CondConfig, ContextModel, SpineNode, head_of
 from tdparse.grammar import induce_pcfg, left_factor_tree, split_factored, tree_to_derivation
 from tdparse.lookahead import LookaheadTables
 from tdparse.parser import BeamParser, ParserConfig
@@ -74,6 +74,21 @@ def reference_apply_rule(spine, rule):
     if consumed:
         return spine, None
     return SpineNode(base, (), spine), None
+
+
+def c_command_heads(spine):
+    """Heads of constituents c-commanding the node pending under ``spine``.
+
+    Nearest first: completed left siblings of the pending node, then the
+    left siblings of each open ancestor on the way to the root.  A closed
+    constituent contributes its percolated head, so material inside it
+    never surfaces separately.
+    """
+    node = spine
+    while node is not None:
+        for sib in reversed(node.children):
+            yield head_of(sib)
+        node = node.parent
 
 
 def reference_spines(trees):

@@ -126,7 +126,7 @@ def test_parse_rejects_model_without_ctx_tables(g1_model_path, tmp_path, capsys)
     assert rc == EXIT_ERROR
     assert stdout == ""
     assert stderr.startswith("error=") and len(stderr.splitlines()) == 1
-    assert "ctx counts differ" in stderr
+    assert stderr.startswith(f"error={broken}: missing row: ctx 0 ")
 
 
 def test_parse_names_file_and_field_of_bad_norm_value(g1_model_path, tmp_path, capsys):
@@ -147,34 +147,34 @@ def test_parse_names_file_and_field_of_bad_norm_value(g1_model_path, tmp_path, c
 @pytest.mark.parametrize(
     "line, replacement, message",
     [
-        ("lap occ NP 5", ["lap occ NP"], r":\d+: malformed line: lap occ NP"),
-        ("lap occ NP 5", ["lap occ NP many"], r":\d+: malformed line: lap occ NP many"),
+        ("lap occ NP 5", ["lap occ NP"], r":\d+: not one of the copied rows: lap occ NP"),
+        ("lap occ NP 5", ["lap occ NP many"], r":\d+: not one of the copied rows: lap occ NP many"),
         ("ngram order 3", ["ngram order 3", "ngram count 7 a b c d e f g w 1"], r":\d+: ngram count level 7 is outside 0\.\.2"),
         ("ngram order 3", ["ngram order 3", "ngram count -1 5"], r":\d+: ngram count level -1 is outside 0\.\.2"),
         ("ctx 2 =DT =NP _ 0 2", ["ctx 2 =DT =NP _ 0 2"] * 2, r":\d+: count below 1 or repeated count row: ctx 2 =DT =NP _ 0 2"),
-        ("ctx 0 =DT 0 2", ["ctx 0 =DT 0 2"] * 2, r":\d+: count below 1 or repeated count row: ctx 0 =DT 0 2"),
+        ("ctx 0 =DT 0 2", ["ctx 0 =DT 0 2"] * 2, r":\d+: repeated row"),
         ("ngram count 1 <s> Spot 3", ["ngram count 1 <s> Spot 3"] * 2, r":\d+: count below 1 or repeated count row: ngram count 1 <s> Spot 3"),
-        ("lap pw DT the 2", ["lap pw DT the 2"] * 2, r":\d+: count below 1 or repeated count row: lap pw DT the 2"),
-        ("lap occ NP 5", ["lap occ NP 0"], r":\d+: count below 1 or repeated count row: lap occ NP 0"),
+        ("lap pw DT the 2", ["lap pw DT the 2"] * 2, r":\d+: repeated row"),
+        ("lap occ NP 5", ["lap occ NP 0"], r":\d+: not one of the copied rows: lap occ NP 0"),
         ("ctx 2 =DT =NP _ 0 2", ["ctx 2 =DT =NP _ 0 -2"], r":\d+: count below 1 or repeated count row: ctx 2 =DT =NP _ 0 -2"),
-        ("ngram order 3", ["ngram order 3", "ngram cnt 0 Zebra 1"], r":\d+: unknown ngram record 'cnt'"),
+        ("ngram order 3", ["ngram order 3", "ngram cnt 0 Zebra 1"], r":\d+: not one of the copied rows: ngram cnt 0 Zebra 1"),
         ("ngram order 3", ["ngram order 0"], r": order must be at least 1"),
         ("lap k 5", ["lap k -1"], r": smoothing_k must be nonnegative"),
         ("rule 2 lex DT the", ["rule 0 lex DT the"], r": rule DT -> 'the has count 0"),
-        ("cond config 6 5 4", ["cond config -1 5 4"], r": phrasal_depth must be nonnegative"),
-        ("lap occ NP 5", ["lap occ NP 5 9"], r":\d+: malformed line: lap occ NP 5 9"),
+        ("cond config 6 5 4", ["cond config -1 5 4"], r":\d+: phrasal_depth must be nonnegative"),
+        ("lap occ NP 5", ["lap occ NP 5 9"], r":\d+: not one of the copied rows: lap occ NP 5 9"),
         ("rule 2 lex DT the", ["rule 2 lex DT the x"], r":\d+: malformed line: rule 2 lex DT the x"),
-        ("vocab the", ["vocab the extra"], r":\d+: malformed line: vocab the extra"),
-        ("cond conj CC", ["cond conj CC DT"], r":\d+: not one of the fixed cond rows: cond conj CC DT"),
-        ("norm unk_token <unk>", ["norm unk_token <unk> x"], r":\d+: not one of the fixed norm rows: norm unk_token <unk> x"),
+        ("vocab the", ["vocab the extra"], r":\d+: not one of the copied rows: vocab the extra"),
+        ("cond conj CC", ["cond conj CC DT"], r":\d+: not one of the copied rows: cond conj CC DT"),
+        ("norm unk_token <unk>", ["norm unk_token <unk> x"], r":\d+: not one of the copied rows: norm unk_token <unk> x"),
         ("ctx 2 =DT =NP _ 0 2", ["ctx 2 =DT =NP _ 0 2 7"], r":\d+: malformed line: ctx 2 =DT =NP _ 0 2 7"),
         ("ngram count 1 <s> Spot 3", ["ngram count 1 <s> Spot 3 1"], r":\d+: malformed line: ngram count 1 <s> Spot 3 1"),
-        ("head TOP left", ["head TOP rigth"], r":\d+: not one of the fixed head rows: head TOP rigth"),
-        ("lap occ NP 5", ["lap occ NP 6"], r": lap occ counts differ from the rule counts"),
-        ("lap pw DT the 2", ["lap pw DT the 3"], r": lap pw counts differ from the rule counts"),
-        ("lap eps NP-NN 3", [], r": lap eps counts differ from the rule counts"),
+        ("head TOP left", ["head TOP rigth"], r":\d+: not one of the copied rows: head TOP rigth"),
+        ("lap occ NP 5", ["lap occ NP 6"], r":\d+: not one of the copied rows: lap occ NP 6"),
+        ("lap pw DT the 2", ["lap pw DT the 3"], r":\d+: not one of the copied rows: lap pw DT the 3"),
+        ("lap eps NP-NN 3", [], r": missing row: lap eps NP-NN 3"),
         ("lap fw NP the 2", [], r":\d+: lap fw counts of NP sum to 3, not 5 \(lap occ less lap eps\)"),
-        ("norm end_token </s>", ["norm end_token </s>", "norm bogus 1"], r":\d+: unknown norm field 'bogus'"),
+        ("norm end_token </s>", ["norm end_token </s>", "norm bogus 1"], r":\d+: not one of the copied rows: norm bogus 1"),
         ("grammar start TOP", ["grammar foo TOP"], r":\d+: unknown grammar record 'foo'"),
         ("clam left 1 2 0.6184705764424331", ["clam left 1 2 5.0"], r":\d+: interpolation weight 5\.0 is not in \[0, 1\)"),
         ("clam left 1 2 0.6184705764424331", ["clam left 1 2 inf"], r":\d+: interpolation weight inf is not in \[0, 1\)"),
@@ -196,9 +196,9 @@ def test_parse_names_file_and_field_of_bad_norm_value(g1_model_path, tmp_path, c
         ("ngram lam 1 2 0.999999", ["ngram lam 1 2 0.999999", "ngram lam 3 1 0.5"], r":\d+: ngram lam level 3 is outside 1\.\.2"),
         ("ngram lam 1 2 0.999999", ["ngram lam 1 2 0.999999", "ngram lam 0 1 0.5"], r":\d+: ngram lam level 0 is outside 1\.\.2"),
         # the fixed protocol rows
-        ("head NP right NN NNP NNPS NNS NX POS JJR N NP PRP CD JJ", ["head NP left DT"], r":\d+: not one of the fixed head rows: head NP left DT"),
-        ("norm end_token </s>", ["norm end_token <end>"], r":\d+: not one of the fixed norm rows: norm end_token <end>"),
-        ("cond conj CC", ["cond conj DT"], r":\d+: not one of the fixed cond rows: cond conj DT"),
+        ("head NP right NN NNP NNPS NNS NX POS JJR N NP PRP CD JJ", ["head NP left DT"], r":\d+: not one of the copied rows: head NP left DT"),
+        ("norm end_token </s>", ["norm end_token <end>"], r":\d+: not one of the copied rows: norm end_token <end>"),
+        ("cond conj CC", ["cond conj DT"], r":\d+: not one of the copied rows: cond conj DT"),
         ("head S left VP S SBAR SINV ADJP UCP NP", [], r": missing row: head S left VP S SBAR SINV ADJP UCP NP"),
         ("norm punct_label .", [], r": missing row: norm punct_label \."),
         ("norm punct_label .", ["norm punct_label ."] * 2, r":\d+: repeated row"),
@@ -213,14 +213,14 @@ def test_parse_names_file_and_field_of_bad_norm_value(g1_model_path, tmp_path, c
         ("rule 2 lex DT the", ["rule 2 lex DT the", "rule 3 lex DT the"], r":\d+: repeated row"),
         ("vocab the", ["vocab the"] * 2, r":\d+: repeated row"),
         ("lap k 5", [], r": missing row: lap k"),
-        ("cond config 6 5 4", ["cond config 7 5 4"], r":\d+: cond config depths exceed 6 5 4"),
+        ("cond config 6 5 4", ["cond config 7 5 4"], r":\d+: phrasal_depth 7 is above its path's maximum 6"),
         # copies of the grammar's words and counts
         ("vocab Spot", [], r": missing row: vocab Spot"),
-        ("vocab Spot", ["vocab Spot", "vocab Rex"], r": row for a word the grammar lacks: vocab Rex"),
+        ("vocab Spot", ["vocab Spot", "vocab Rex"], r":\d+: not one of the copied rows: vocab Rex"),
         ("ctx 1 =NP =S 4 1", ["ctx 1 =NP =S 4 100"], r":\d+: ctx 1 =NP =S counts sum to 103, not the 4 of its level-2 rows"),
         ("ngram count 1 Spot ran 2", ["ngram count 1 Spot ran 50"], r":\d+: ngram count 1 Spot counts sum to 51, not the 3 of its level-2 rows"),
-        ("ngram count 0 ran 3", ["ngram count 0 ran 30"], r":\d+: ngram count 0 of ran is 30, not 3 \(its lexical rule counts\)"),
-        ("ngram count 0 ran 3", [], r":\d+: ngram count 0 of ran is 0, not 3 \(its lexical rule counts\)"),
+        ("ngram count 0 ran 3", ["ngram count 0 ran 30"], r":\d+: not one of the copied rows: ngram count 0 ran 30"),
+        ("ngram count 0 ran 3", [], r": missing row: ngram count 0 ran 3"),
         ("ngram order 3", ["ngram order 3", "ngram count 2 Spot Rex ran 1"], r":\d+: ngram count 2 Spot Rex has no level-1 row to refine"),
         ("ctx 4 =NN =NP =DT =the =chased 2 1", ["ctx 4 =NN =NP =DT =the =chased 2 1", "ctx 5 =NN =NP =DT =the =chased _ 2 5"],
          r":\d+: ctx 4 =NN =NP =DT =the =chased counts sum to 1, below the 5 of its level-5 rows"),
@@ -233,6 +233,9 @@ def test_parse_names_file_and_field_of_bad_norm_value(g1_model_path, tmp_path, c
         ("lap fp NP NN 3", ["lap fp NP QQ 3"], r":\d+: lap fp NP QQ: QQ is not a preterminal"),
         ("ctx 4 =NN =NP =DT =the =chased 2 1", ["ctx 4 =NN =NP =DT =the =Zzz 2 1"],
          r":\d+: ctx 4 =NN =NP =DT =the =Zzz: Zzz is not a grammar symbol or word"),
+        # a level is routed by its value: a level written 00 is a copied level-0 row
+        ("ctx 0 =DT 0 2", ["ctx 00 =DT 0 2"], r":\d+: not one of the copied rows: ctx 00 =DT 0 2"),
+        ("ngram count 0 ran 3", ["ngram count 00 ran 3"], r":\d+: not one of the copied rows: ngram count 00 ran 3"),
     ],
 )
 def test_parse_names_file_of_bad_model(g1_model_path, tmp_path, capsys, line, replacement, message):
@@ -266,7 +269,8 @@ def test_parse_rejects_desk_model_without_lap_eps_rows(desk, tmp_path, capsys):
     ])
     assert rc == EXIT_ERROR
     assert stdout == ""
-    assert stderr == f"error={broken}: lap eps counts differ from the rule counts\n"
+    first = next(l for l in lines if l.startswith("lap eps "))
+    assert stderr == f"error={broken}: missing row: {first}\n"
 
 
 @pytest.mark.parametrize("flag", ["--base-beam", "--lap-floor"])
@@ -611,3 +615,27 @@ def test_parse_ppl_eval_fuzz_end_in_a_report_or_one_error(g1_model_path, tmp_pat
         _error_only(rc, stdout, stderr, "")
     else:
         assert stderr == "" and stdout
+
+
+@pytest.mark.parametrize("command", ["parse", "ppl"])
+@pytest.mark.parametrize("token", ["</s>", "<unk>"])
+def test_reserved_token_in_input_names_file_and_line(g1_model_path, tmp_path, capsys, command, token):
+    sents = tmp_path / "reserved.sents"
+    sents.write_text(f"Spot ran\n\nthe dog {token} ran\n")
+    rc, stdout, stderr = _run(capsys, [command, "--model", str(g1_model_path), "--input", str(sents)])
+    assert (rc, stdout) == (EXIT_ERROR, "")
+    assert stderr == f"error={sents}:3: reserved token {token!r} in input sentence\n"
+
+
+def test_train_rejects_depths_above_the_path_maxima(tmp_path, capsys):
+    out = tmp_path / "m.model"
+    rc, stdout, stderr = _run(capsys, [
+        "train",
+        "--trees", str(FIXTURES / "g1.trees"),
+        "--heldout", str(FIXTURES / "g1.trees"),
+        "--out", str(out),
+        "--conditioning", "9,9,9",
+    ])
+    assert (rc, stdout) == (EXIT_ERROR, "")
+    assert stderr == "error=phrasal_depth 9 is above its path's maximum 6\n"
+    assert not out.exists()

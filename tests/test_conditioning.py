@@ -6,7 +6,9 @@ from itertools import islice
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from support import as_corpus, factored_corpus, fixture_trees, random_corpus, reference_apply_rule, reference_spines
+from support import (
+    as_corpus, c_command_heads, factored_corpus, fixture_trees, random_corpus, reference_apply_rule, reference_spines,
+)
 from tdparse.conditioning import (
     CONJ_LABEL,
     HEAD_TABLE,
@@ -22,7 +24,6 @@ from tdparse.conditioning import (
     SpineNode,
     apply_rule,
     bucket_of,
-    c_command_heads,
     head_child,
     head_of,
     open_constituent_head,
@@ -59,9 +60,17 @@ def test_bucket_of(count, bucket):
 def test_presets_and_clamping():
     assert CondConfig.from_preset("none") == CondConfig(0, 0, 0)
     assert CondConfig.from_preset("par+sib") == CondConfig(2, 2, 2)
-    # "all" asks for (6, 6, 4); the middle path tops out at 5
+    # "all" is every path at its maximum
     allcfg = CondConfig.from_preset("all")
     assert (allcfg.phrasal_depth, allcfg.first_pos_depth, allcfg.later_pos_depth) == (6, 5, 4)
+    assert allcfg == CondConfig(PATH_MAX[LEFT], PATH_MAX[MIDDLE], PATH_MAX[RIGHT])
+    for name in PRESETS:  # every preset lies within the maxima, so none is refused
+        CondConfig.from_preset(name)
+    # A depth above its path's maximum is refused, not clamped.
+    for depths, name in (((7, 5, 4), "phrasal_depth 7"), ((6, 6, 4), "first_pos_depth 6"),
+                         ((6, 5, 5), "later_pos_depth 5"), ((99, 99, 99), "phrasal_depth 99")):
+        with pytest.raises(ConditioningError, match=f"{name} is above its path's maximum"):
+            CondConfig(*depths)
     assert CondConfig.from_preset("NT_struct") == CondConfig(*PRESETS["nt-struct"])
     with pytest.raises(ConditioningError, match="unknown conditioning preset"):
         CondConfig.from_preset("everything")
@@ -75,7 +84,6 @@ def test_config_validation_and_depths():
     assert cfg.depth_for(MIDDLE) == 2
     assert cfg.depth_for(RIGHT) == 1
     assert cfg.max_depth == 3
-    assert CondConfig(99, 99, 99) == CondConfig(PATH_MAX[LEFT], PATH_MAX[MIDDLE], PATH_MAX[RIGHT])
 
 
 def test_apply_rule_reconstructs_tree(g1_trees):

@@ -225,7 +225,7 @@ def test_load_requires_every_norm_field(g1_model, tmp_path):
 
 def test_load_rejects_unknown_lap_record(g1_model, tmp_path):
     path = _tampered(g1_model, tmp_path, lambda lines: lines + ["lap zz NP 1"])
-    with pytest.raises(ModelIOError, match=r"broken\.model:\d+: unknown lap record 'zz'"):
+    with pytest.raises(ModelIOError, match=r"broken\.model:\d+: not one of the copied rows: lap zz NP 1"):
         load_model(path)
 
 
@@ -234,18 +234,18 @@ def test_load_rejects_ctx_rule_outside_grammar(g1_model, tmp_path):
         out = []
         for line in lines:
             parts = line.split()
-            if parts[0] == "ctx":
+            if parts[0] == "ctx" and parts[1] != "0":
                 parts[-2] = "999999"
             out.append(" ".join(parts))
         return out
 
-    with pytest.raises(ModelIOError, match="rule 999999 at level 0 is out of range"):
+    with pytest.raises(ModelIOError, match="rule 999999 at level 1 is out of range"):
         load_model(_tampered(g1_model, tmp_path, edit))
 
 
 def test_load_rejects_missing_ctx_tables(g1_model, tmp_path):
     path = _tampered(g1_model, tmp_path, lambda lines: [l for l in lines if not l.startswith("ctx ")])
-    with pytest.raises(ModelIOError, match="level-0 ctx counts differ from the rule counts"):
+    with pytest.raises(ModelIOError, match=r"broken\.model: missing row: ctx 0 "):
         load_model(path)
 
 
@@ -256,7 +256,7 @@ def test_load_rejects_level0_ctx_count_drift(g1_model, tmp_path):
         parts[-1] = str(int(parts[-1]) + 1)
         return lines[:i] + [" ".join(parts)] + lines[i + 1 :]
 
-    with pytest.raises(ModelIOError, match="level-0 ctx counts differ"):
+    with pytest.raises(ModelIOError, match=r"broken\.model:\d+: not one of the copied rows: ctx 0 "):
         load_model(_tampered(g1_model, tmp_path, edit))
 
 
@@ -291,13 +291,13 @@ def test_load_rejects_bad_norm_value(g1_model, tmp_path, field, value, message):
 
 def test_load_rejects_unknown_cond_record(g1_model, tmp_path):
     path = _tampered(g1_model, tmp_path, lambda lines: lines + ["cond mystery 1"])
-    with pytest.raises(ModelIOError, match=r"broken\.model:\d+: unknown cond record 'mystery'"):
+    with pytest.raises(ModelIOError, match=r"broken\.model:\d+: not one of the copied rows: cond mystery 1"):
         load_model(path)
 
 
 def test_load_rejects_unknown_norm_field(g1_model, tmp_path):
     path = _tampered(g1_model, tmp_path, lambda lines: lines + ["norm bogus 1"])
-    with pytest.raises(ModelIOError, match=r"broken\.model:\d+: unknown norm field 'bogus'"):
+    with pytest.raises(ModelIOError, match=r"broken\.model:\d+: not one of the copied rows: norm bogus 1"):
         load_model(path)
 
 
@@ -451,3 +451,55 @@ def test_vocabulary_is_the_grammar_words_and_unk(g1_model, desk):
     for model, corpus in ((g1_model.model, g1_train), (desk.models["all"], desk.train)):
         assert model.vocabulary == model.grammar.vocabulary | {UNK_TOKEN}
         assert model.vocabulary == speech_normalize(corpus, model.normalization).vocabulary
+
+
+# The records whose rows follow from the grammar and the fixed protocol symbols alone.
+COPIED_RECORDS = (
+    "norm number_token ", "norm unk_token ", "norm end_token ", "norm punct_label ", "vocab ", "cond conj ",
+    "head ", "ctx 0 ", "lap occ ", "lap eps ", "lap pw ", "ngram count 0 ",
+)
+
+
+def _edit_last_field(row):
+    *fields, last = row.split()
+    return " ".join(fields + [str(int(last) + 1) if last.isdigit() else "Zzz"])
+
+
+@pytest.mark.parametrize("edit", ["delete", "duplicate", "edit last field"])
+def test_every_copied_row_is_checked(g1_saved, edit):
+    """Deleting any copied row of g1 names the row; repeating or editing it names its line."""
+    lines, _, path = g1_saved
+    copied = [i for i, line in enumerate(lines) if line.startswith(COPIED_RECORDS)]
+    assert len(copied) == 102
+    for i in copied:
+        row = lines[i]
+        if edit == "delete":
+            edited, message = lines[:i] + lines[i + 1 :], f"{path}: missing row: {row}"
+        elif edit == "duplicate":
+            edited, message = lines[: i + 1] + lines[i:], f"{path}:{i + 2}: repeated row"
+        else:
+            changed = _edit_last_field(row)
+            edited = lines[:i] + [changed] + lines[i + 1 :]
+            message = f"{path}:{i + 1}: not one of the copied rows: {changed}"
+        path.write_text("\n".join(edited) + "\n")
+        with pytest.raises(ModelIOError) as err:
+            load_model(str(path))
+        assert str(err.value) == message
+
+
+def test_loaded_tables_equal_the_trained_tables(desk, tmp_path):
+    """The loader derives level 0 of the ctx and n-gram tables from the grammar: it must be what training counted."""
+    models = list(desk.models.values())
+    for name in ("g1.trees", "g2.trees", "g3.trees", "g4.trees", "g5.trees"):
+        trees = fixture_trees(name)
+        for order in (1, 3):
+            model, _ = train_parser_model(
+                as_corpus(trees, "train"), as_corpus(trees, "heldout"), ngram_order=order, em_max_iter=2
+            )
+            models.append(model)
+    path = tmp_path / "model"
+    for model in models:
+        save_model(model, str(path))
+        loaded = load_model(str(path))
+        assert loaded.context.tables == model.context.tables
+        assert loaded.ngram.tables == model.ngram.tables
