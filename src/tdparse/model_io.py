@@ -18,8 +18,8 @@ from .conditioning import (
     BUCKET_EDGES, CONJ_LABEL, HEAD_TABLE, PATH_MAX, CondConfig, ConditioningError, ContextModel, InterpolationTable,
 )
 from .grammar import GrammarError, Pcfg, Rule, induce_pcfg, left_factor_tree
-from .langmodel import LangModelError, NgramModel, sentences_from_trees
-from .lookahead import LookaheadError, LookaheadTables
+from .langmodel import NgramModel, sentences_from_trees
+from .lookahead import LookaheadTables
 from .treebank import (
     AXIOM,
     END_TOKEN,
@@ -28,7 +28,6 @@ from .treebank import (
     UNK_TOKEN,
     Corpus,
     NormalizationConfig,
-    TreebankError,
     augment_with_stop,
     normalize_tokens,
     speech_normalize,
@@ -161,6 +160,21 @@ def _once(table: dict, key, value) -> None:
     if key in table:
         raise _BadLine("repeated row")
     table[key] = value
+
+
+def _norm_value(name: str, value: str):
+    """The value of a ``norm strip_punctuation`` or ``norm vocab_cap`` row."""
+    if name == "strip_punctuation":
+        if value not in ("0", "1"):
+            raise _BadLine("norm field 'strip_punctuation' must be 0 or 1")
+        return value == "1"
+    try:
+        cap = int(value)
+    except ValueError:
+        raise _BadLine("norm field 'vocab_cap' must be an integer") from None
+    if cap < 1:
+        raise _BadLine("vocab_cap must be at least 1")
+    return cap
 
 
 def _add_weight(weights: dict, key: tuple, text: str, lineno: int) -> None:
@@ -350,7 +364,7 @@ def load_model(path: str) -> ParserModel:
             if kind == "norm":
                 if f"norm {parts[1]}" in ONCE:
                     _, name, value = parts
-                    _once(single, f"norm {name}", value)
+                    _once(single, f"norm {name}", _norm_value(name, value))
                 else:
                     _once(kept, " ".join(parts), lineno)
             elif kind in ("vocab", "head"):
@@ -364,7 +378,10 @@ def load_model(path: str) -> ParserModel:
                 if parts[2] not in ("eps", "lex", "bin"):
                     raise _BadLine(f"unknown rule kind {parts[2]!r}")
                 _expect_fields(parts, {"eps": 4, "lex": 5, "bin": 6}[parts[2]])
-                _once(rule_counts, Rule(parts[3], tuple(parts[4:]), parts[2] == "lex"), int(parts[1]))
+                rule, n = Rule(parts[3], tuple(parts[4:]), parts[2] == "lex"), int(parts[1])
+                if n < 1:
+                    raise _BadLine(f"rule {rule.render()} has count {n}")
+                _once(rule_counts, rule, n)
             elif kind == "cond":
                 if parts[1] == "config":
                     _, _, phrasal, first_pos, later_pos = parts
@@ -387,6 +404,8 @@ def load_model(path: str) -> ParserModel:
             elif kind == "lap":
                 if parts[1] == "k":
                     _, _, k = parts
+                    if int(k) < 0:
+                        raise _BadLine("smoothing_k must be nonnegative")
                     _once(single, "lap k", int(k))
                 elif parts[1] in lap:
                     _, sub, sym, key, count = parts
@@ -399,6 +418,8 @@ def load_model(path: str) -> ParserModel:
             elif kind == "ngram":
                 if parts[1] == "order":
                     _, _, order = parts
+                    if int(order) < 1:
+                        raise _BadLine("order must be at least 1")
                     _once(single, "ngram order", int(order))
                 elif parts[1] == "lam":
                     _, _, level, bucket, lam = parts
@@ -421,26 +442,19 @@ def load_model(path: str) -> ParserModel:
         if key not in single:
             raise ModelIOError(f"{path}: missing row: {key}")
 
-    strip = {"0": False, "1": True}.get(single["norm strip_punctuation"])
-    if strip is None:
-        raise ModelIOError(f"{path}: norm field 'strip_punctuation' must be 0 or 1")
-    try:
-        vocab_cap = int(single["norm vocab_cap"])
-    except ValueError:
-        raise ModelIOError(f"{path}: norm field 'vocab_cap' must be an integer") from None
     # Level 0 comes from the grammar; a trained n-gram model has counts at every level above it below its order.
     ngram_order = single["ngram order"]
     top = max((row[1] for row in ngram_rows), default=0)
     if ngram_order > top + 1:
         raise ModelIOError(f"{path}: ngram order {ngram_order} but no counts above level {top}")
+    normalization = NormalizationConfig(strip_punctuation=single["norm strip_punctuation"], vocab_cap=single["norm vocab_cap"])
     try:
-        normalization = NormalizationConfig(strip_punctuation=strip, vocab_cap=vocab_cap)
         grammar = Pcfg(rule_counts, single["grammar start"])
-        context = ContextModel(grammar, single["cond config"])
-        lookahead = LookaheadTables(grammar, lap["fw"], lap["fp"], single["lap k"])
-        ngram = NgramModel(ngram_order)
-    except (TreebankError, GrammarError, LookaheadError, LangModelError) as exc:
+    except GrammarError as exc:
         raise ModelIOError(f"{path}: {exc}") from None
+    context = ContextModel(grammar, single["cond config"])
+    lookahead = LookaheadTables(grammar, lap["fw"], lap["fp"], single["lap k"])
+    ngram = NgramModel(ngram_order)
 
     copies = {row: None for rows in _copied_rows(grammar).values() for row in rows}
     for row, lineno in kept.items():
@@ -458,10 +472,10 @@ def load_model(path: str) -> ParserModel:
     context.lambdas = _weights(path, "clam", clams, lambda key: context.config.depth_for(key[0]))
     for lineno, level, values, rid, count in ctx_rows:
         if not (0 <= level < len(context.tables) and 0 <= rid < len(grammar.rules)):
-            raise ModelIOError(f"{path}: ctx record for rule {rid} at level {level} is out of range")
+            raise ModelIOError(f"{path}:{lineno}: ctx record for rule {rid} at level {level} is out of range")
         if grammar.rules[rid].lhs != values[0]:
             raise ModelIOError(
-                f"{path}: ctx record for rule {rid} at level {level} does not expand {values[0]}"
+                f"{path}:{lineno}: ctx record for rule {rid} at level {level} does not expand {values[0]}"
             )
         if count < 1 or context.add(level, values, rid, count) != count:
             raise ModelIOError(f"{path}:{lineno}: {BAD_COUNT}: {lines[lineno - 1]}")

@@ -18,7 +18,7 @@ import contextlib
 import operator
 import re
 from dataclasses import dataclass
-from typing import ClassVar, Iterable, Iterator, Optional, Sequence, TextIO
+from typing import AbstractSet, ClassVar, Iterable, Iterator, Optional, Sequence, TextIO
 
 # Reserved protocol symbols.  They are fixed parts of the model, not
 # settings: every derivation ends in STOP -> END_TOKEN under the axiom.
@@ -267,34 +267,32 @@ def is_number_token(tok: str) -> bool:
     return bool(_NUMBER_RE.fullmatch(tok))
 
 
-def _strip_punct(t: Tree) -> Optional[Tree]:
-    """``t`` without punctuation preterminals; ``t`` itself when none is under it."""
-    if t.is_preterminal:
-        return None if t.label in PUNCT_LABELS else t
+def _normal_token(tok: str, keep: Optional[AbstractSet[str]]) -> str:
+    """The one token rule: a number folds to NUMBER_TOKEN, then a token outside
+    ``keep`` becomes UNK_TOKEN (``keep`` None folds only)."""
+    if is_number_token(tok):
+        tok = NUMBER_TOKEN
+    return tok if keep is None or tok in keep else UNK_TOKEN
+
+
+def _normalized_tree(t: Tree, strip: bool, keep: Optional[AbstractSet[str]]) -> Optional[Tree]:
+    """``t`` without punctuation preterminals (when ``strip``) and with every token
+    mapped by the token rule; ``t`` itself when nothing under it changes, None
+    when nothing is left."""
+    if not t.children:
+        tok = _normal_token(t.label, keep)
+        return t if tok == t.label else Tree(tok)
+    if strip and t.label in PUNCT_LABELS and t.is_preterminal:
+        return None
+    # A loop, not a comprehension, so each tree level costs one frame.
     kept = []
     for child in t.children:
-        sub = child if child.is_leaf else _strip_punct(child)
+        sub = _normalized_tree(child, strip, keep)
         if sub is not None:
             kept.append(sub)
-    if not kept:
-        return None
     if len(kept) == len(t.children) and all(map(operator.is_, kept, t.children)):
         return t
-    return Tree(t.label, kept)
-
-
-def _map_leaves(t: Tree, fn) -> Tree:
-    """``t`` with every token mapped by ``fn``; ``t`` itself when no token changes."""
-    if t.is_leaf:
-        tok = fn(t.label)
-        return t if tok == t.label else Tree(tok)
-    # A loop, not a comprehension, so each tree level costs one frame.
-    kids = []
-    for c in t.children:
-        kids.append(_map_leaves(c, fn))
-    if all(map(operator.is_, kids, t.children)):
-        return t
-    return Tree(t.label, kids)
+    return Tree(t.label, kept) if kept else None
 
 
 def speech_normalize(
@@ -305,21 +303,19 @@ def speech_normalize(
     """Normalize a corpus for speech-style language modelling.
 
     Punctuation preterminals are deleted (parents emptied by the deletion
-    go with them), digit tokens fold to NUMBER_TOKEN, and tokens outside
-    the ``cfg.vocab_cap`` most frequent become UNK_TOKEN.
-    Pass ``keep_tokens`` (a training vocabulary) when normalizing heldout
-    or test corpora so the closure matches training.  Subtrees nothing
-    changes under are shared with the input, not copied.  Idempotent:
-    reserved tokens are always kept, so a second pass returns the very
-    trees it was given.
+    go with them), number tokens fold to NUMBER_TOKEN, and tokens outside
+    the kept vocabulary become UNK_TOKEN.  The kept vocabulary is
+    ``keep_tokens`` when given (a training vocabulary, when normalizing
+    heldout or test corpora), else the ``cfg.vocab_cap`` most frequent
+    tokens plus the reserved tokens.  Subtrees nothing changes under are
+    shared with the input, not copied.  Idempotent: a second pass returns
+    the very trees it was given.
     """
     trees = []
-    for idx, t in enumerate(corpus.trees):
-        if cfg.strip_punctuation:
-            t = _strip_punct(t)
-            if t is None:
-                raise TreebankError(f"tree {idx}: normalization emptied the yield")
-        t = _map_leaves(t, lambda tok: NUMBER_TOKEN if is_number_token(tok) else tok)
+    for n, t in enumerate(corpus.trees, start=1):
+        t = _normalized_tree(t, cfg.strip_punctuation, keep_tokens)
+        if t is None:
+            raise TreebankError(f"{corpus.role} tree {n}: normalization emptied the yield")
         trees.append(t)
 
     if keep_tokens is None:
@@ -331,32 +327,25 @@ def speech_normalize(
             (tok for tok in counts if tok not in RESERVED_TOKENS),
             key=lambda tok: (-counts[tok], tok),
         )
-        keep_tokens = frozenset(ranked[: cfg.vocab_cap])
-
-    def closed(tok: str) -> str:
-        return tok if tok in keep_tokens or tok in RESERVED_TOKENS else UNK_TOKEN
-
-    trees = [_map_leaves(t, closed) for t in trees]
+        keep = RESERVED_TOKENS.union(ranked[: cfg.vocab_cap])
+        trees = [_normalized_tree(t, False, keep) for t in trees]
     vocab = {tok for t in trees for tok in t.yield_tokens()}
     vocab.update({END_TOKEN, UNK_TOKEN})
     return Corpus(tuple(trees), frozenset(vocab), corpus.role)
 
 
 def normalize_tokens(tokens: Sequence[str], vocabulary: frozenset[str]) -> list[str]:
-    """Map a raw sentence onto the model vocabulary.
+    """Map a raw sentence onto the model vocabulary by the rule trees follow.
 
-    Reserved tokens may not appear in the input; out-of-vocabulary tokens
-    become the unknown token.
+    Reserved tokens may not appear in the input.  A sentence has no tags,
+    so its punctuation is not dropped: like any token the vocabulary lacks,
+    it becomes UNK_TOKEN.
     """
     out = []
     for tok in tokens:
         if tok in (END_TOKEN, UNK_TOKEN):
             raise TreebankError(f"reserved token {tok!r} in input sentence")
-        if is_number_token(tok):
-            tok = NUMBER_TOKEN
-        if tok not in vocabulary:
-            tok = UNK_TOKEN
-        out.append(tok)
+        out.append(_normal_token(tok, vocabulary))
     return out
 
 

@@ -141,7 +141,8 @@ def test_parse_names_file_and_field_of_bad_norm_value(g1_model_path, tmp_path, c
     ])
     assert rc == EXIT_ERROR
     assert stdout == ""
-    assert stderr == f"error={broken}: norm field 'strip_punctuation' must be 0 or 1\n"
+    lineno = text.splitlines().index("norm strip_punctuation 1") + 1
+    assert stderr == f"error={broken}:{lineno}: norm field 'strip_punctuation' must be 0 or 1\n"
 
 
 @pytest.mark.parametrize(
@@ -158,9 +159,9 @@ def test_parse_names_file_and_field_of_bad_norm_value(g1_model_path, tmp_path, c
         ("lap occ NP 5", ["lap occ NP 0"], r":\d+: not one of the copied rows: lap occ NP 0"),
         ("ctx 2 =DT =NP _ 0 2", ["ctx 2 =DT =NP _ 0 -2"], r":\d+: count below 1 or repeated count row: ctx 2 =DT =NP _ 0 -2"),
         ("ngram order 3", ["ngram order 3", "ngram cnt 0 Zebra 1"], r":\d+: not one of the copied rows: ngram cnt 0 Zebra 1"),
-        ("ngram order 3", ["ngram order 0"], r": order must be at least 1"),
-        ("lap k 5", ["lap k -1"], r": smoothing_k must be nonnegative"),
-        ("rule 2 lex DT the", ["rule 0 lex DT the"], r": rule DT -> 'the has count 0"),
+        ("ngram order 3", ["ngram order 0"], r":\d+: order must be at least 1"),
+        ("lap k 5", ["lap k -1"], r":\d+: smoothing_k must be nonnegative"),
+        ("rule 2 lex DT the", ["rule 0 lex DT the"], r":\d+: rule DT -> 'the has count 0"),
         ("cond config 6 5 4", ["cond config -1 5 4"], r":\d+: phrasal_depth must be nonnegative"),
         ("lap occ NP 5", ["lap occ NP 5 9"], r":\d+: not one of the copied rows: lap occ NP 5 9"),
         ("rule 2 lex DT the", ["rule 2 lex DT the x"], r":\d+: malformed line: rule 2 lex DT the x"),
@@ -236,6 +237,12 @@ def test_parse_names_file_and_field_of_bad_norm_value(g1_model_path, tmp_path, c
         # a level is routed by its value: a level written 00 is a copied level-0 row
         ("ctx 0 =DT 0 2", ["ctx 00 =DT 0 2"], r":\d+: not one of the copied rows: ctx 00 =DT 0 2"),
         ("ngram count 0 ran 3", ["ngram count 00 ran 3"], r":\d+: not one of the copied rows: ngram count 00 ran 3"),
+        # values read from one row name that row
+        ("norm strip_punctuation 1", ["norm strip_punctuation 2"], r":\d+: norm field 'strip_punctuation' must be 0 or 1"),
+        ("norm vocab_cap 10000", ["norm vocab_cap ten"], r":\d+: norm field 'vocab_cap' must be an integer"),
+        ("norm vocab_cap 10000", ["norm vocab_cap 0"], r":\d+: vocab_cap must be at least 1"),
+        ("ctx 1 =NP =S 4 1", ["ctx 1 =NP =S 999 1"], r":\d+: ctx record for rule 999 at level 1 is out of range"),
+        ("ctx 1 =NP =S 4 1", ["ctx 1 =NP =S 0 1"], r":\d+: ctx record for rule 0 at level 1 does not expand NP"),
     ],
 )
 def test_parse_names_file_of_bad_model(g1_model_path, tmp_path, capsys, line, replacement, message):
@@ -386,6 +393,44 @@ def test_eval_max_len(g1_model_path, capsys):
     ])
     assert rc == EXIT_OK
     assert dict(l.split("=", 1) for l in stdout.splitlines())["sentences"] == "2"
+
+
+def test_eval_and_parse_read_a_number_alike(tmp_path, capsys):
+    # Capped at four words, g1 keeps no number token, so 42 becomes <unk> on both paths.
+    model = tmp_path / "g1cap4.model"
+    rc, _, _ = _run(capsys, [
+        "train",
+        "--trees", str(FIXTURES / "g1.trees"),
+        "--heldout", str(FIXTURES / "g1.trees"),
+        "--out", str(model),
+        "--vocab-cap", "4",
+    ])
+    assert rc == EXIT_OK
+    assert "vocab N" not in model.read_text().splitlines()
+    gold = tmp_path / "gold.trees"
+    gold.write_text("(S (NP (NN Spot)) (VP (VBD chased) (NP (DT the) (CD 42))))\n")
+    rc, stdout, _ = _run(capsys, ["eval", "--model", str(model), "--gold", str(gold)])
+    assert rc == EXIT_OK
+    assert dict(line.split("=", 1) for line in stdout.splitlines())["failure_pct"] == "0.00"
+    sents = tmp_path / "gold.sents"
+    sents.write_text("Spot chased the 42\n")
+    rc, stdout, _ = _run(capsys, ["parse", "--model", str(model), "--input", str(sents)])
+    assert rc == EXIT_OK
+    assert stdout.startswith("sent=1 status=parsed ")
+
+
+@pytest.mark.parametrize("role", ["train", "heldout"])
+def test_train_names_the_tree_normalization_empties(tmp_path, capsys, role):
+    emptied = tmp_path / "p.trees"
+    emptied.write_text("(S (NP (NN Spot)) (VP (VBD ran)))\n(S (. .))\n")
+    g1 = FIXTURES / "g1.trees"
+    trees, heldout = (emptied, g1) if role == "train" else (g1, emptied)
+    rc, stdout, stderr = _run(capsys, [
+        "train", "--trees", str(trees), "--heldout", str(heldout), "--out", str(tmp_path / "m.model"),
+    ])
+    assert rc == EXIT_ERROR
+    assert stdout == ""
+    assert stderr == f"error={role} tree 2: normalization emptied the yield\n"
 
 
 @pytest.mark.parametrize("name", ["g1", "g2"])

@@ -18,7 +18,7 @@ from tdparse.model_io import (
     train_parser_model,
 )
 from tdparse.parser import BeamParser, ParserConfig
-from tdparse.treebank import END_TOKEN, UNK_TOKEN, augment_with_stop, parse_trees, speech_normalize
+from tdparse.treebank import END_TOKEN, UNK_TOKEN, Tree, augment_with_stop, parse_trees, speech_normalize
 
 
 def test_training_report_keys(g1_model):
@@ -62,6 +62,30 @@ def test_prepare_trees_against_model_vocabulary(g1_model):
     test = as_corpus(parse_trees("(S (NP (NN Spot)) (VP (VBD flew)))"), "test")
     out = prepare_trees(test, g1_model.model)
     assert out.trees[0].yield_tokens() == ["Spot", UNK_TOKEN]
+
+
+# Tokens without reserved ones: model words of g1 and desk, numbers, unknown words and punctuation.
+_plain_token = st.sampled_from(["Spot", "ran", "the", "dog", "box", "doctor", "42", "3.5", "1,234", "zebra", ".", ","])
+_plain_tree = st.recursive(
+    st.builds(lambda tag, tok: Tree(tag, (Tree(tok),)), st.sampled_from(["NN", "CD", "DT"]), _plain_token),
+    lambda kids: st.builds(Tree, st.sampled_from(["S", "NP", "VP"]), st.lists(kids, min_size=1, max_size=4)),
+    max_leaves=10,
+)
+
+
+@pytest.mark.parametrize("name", ["g1", "desk"])
+def test_sentence_and_tree_normalize_alike(name, g1_model, desk):
+    """A tree with no punctuation preterminal reads as the sentence of its yield (g1 has no N, desk has)."""
+    model = g1_model.model if name == "g1" else desk.models["all"]
+
+    @settings(max_examples=100, deadline=None)
+    @given(trees=st.lists(_plain_tree, min_size=1, max_size=4))
+    def check(trees):
+        prepared = prepare_trees(as_corpus(trees, "test"), model).trees
+        for raw, tree in zip(trees, prepared, strict=True):
+            assert model.prepare(raw.yield_tokens()) == tree.yield_tokens() + [END_TOKEN]
+
+    check()
 
 
 def test_unigram_is_the_training_unigram(g1_model, desk):
@@ -239,7 +263,7 @@ def test_load_rejects_ctx_rule_outside_grammar(g1_model, tmp_path):
             out.append(" ".join(parts))
         return out
 
-    with pytest.raises(ModelIOError, match="rule 999999 at level 1 is out of range"):
+    with pytest.raises(ModelIOError, match=r"broken\.model:\d+: ctx record for rule 999999 at level 1 is out of range"):
         load_model(_tampered(g1_model, tmp_path, edit))
 
 
@@ -268,7 +292,7 @@ def test_load_rejects_ctx_row_of_another_lhs(g1_model, tmp_path):
         return [f"ctx 1 =DT =NP {rid} 2" if l == "ctx 1 =DT =NP 0 2" else l for l in lines]
 
     with pytest.raises(
-        ModelIOError, match=rf"broken\.model: ctx record for rule {rid} at level 1 does not expand DT"
+        ModelIOError, match=rf"broken\.model:\d+: ctx record for rule {rid} at level 1 does not expand DT"
     ):
         load_model(_tampered(g1_model, tmp_path, edit))
 
@@ -285,7 +309,7 @@ def test_load_rejects_bad_norm_value(g1_model, tmp_path, field, value, message):
     def edit(lines):
         return [f"norm {field} {value}" if l.startswith(f"norm {field} ") else l for l in lines]
 
-    with pytest.raises(ModelIOError, match=rf"broken\.model: {message}"):
+    with pytest.raises(ModelIOError, match=rf"broken\.model:\d+: {message}"):
         load_model(_tampered(g1_model, tmp_path, edit))
 
 

@@ -259,28 +259,14 @@ def test_readers_name_a_file_that_is_not_utf8(tmp_path):
             read(str(p))
 
 
-def _rebuilding_strip_punct(t):
-    """Reference: punctuation stripping that copies every node it keeps."""
-    if t.is_preterminal:
-        return None if t.label in PUNCT_LABELS else t
-    kept = []
-    for child in t.children:
-        if child.is_leaf:
-            kept.append(child)
-            continue
-        sub = _rebuilding_strip_punct(child)
-        if sub is not None:
-            kept.append(sub)
-    if not kept:
-        return None
-    return Tree(t.label, kept)
-
-
-def _rebuilding_map_leaves(t, fn):
-    """Reference: leaf mapping that copies every node."""
+def _rebuilding_normalized_tree(t, strip, keep):
+    """Reference: the normalizing walk, copying every node it keeps."""
     if t.is_leaf:
-        return Tree(fn(t.label))
-    return Tree(t.label, tuple(_rebuilding_map_leaves(c, fn) for c in t.children))
+        return Tree(treebank._normal_token(t.label, keep))
+    if strip and t.is_preterminal and t.label in PUNCT_LABELS:
+        return None
+    kept = [sub for sub in (_rebuilding_normalized_tree(c, strip, keep) for c in t.children) if sub is not None]
+    return Tree(t.label, kept) if kept else None
 
 
 def _normalized(corpus, cfg, keep_tokens=None):
@@ -295,8 +281,7 @@ def _normalized(corpus, cfg, keep_tokens=None):
 def _assert_normalize_matches_rebuilding(trees, cfg):
     corpus = as_corpus(trees, "train")
     shared = _normalized(corpus, cfg)
-    with mock.patch.object(treebank, "_strip_punct", _rebuilding_strip_punct), \
-            mock.patch.object(treebank, "_map_leaves", _rebuilding_map_leaves):
+    with mock.patch.object(treebank, "_normalized_tree", _rebuilding_normalized_tree):
         rebuilt = _normalized(corpus, cfg)
         rebuilt_kept = _normalized(corpus, cfg, keep_tokens=frozenset({"a", "42"}))
     assert shared == rebuilt
