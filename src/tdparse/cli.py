@@ -31,7 +31,6 @@ from .model_io import load_model, prepare_trees, save_model, train_parser_model
 from .oracle import OracleConfig, OracleError, enumerate_derivations
 from .parser import BeamParser, ParseError, ParserConfig
 from .treebank import (
-    AXIOM,
     END_TOKEN,
     NormalizationConfig,
     TreebankError,
@@ -245,7 +244,7 @@ def cmd_oracle_check(args) -> int:
         raise OracleError("--rel-tol must be finite and nonnegative")
     corpus = read_corpus(args.trees, "train")
     factored = [left_factor_tree(augment_with_stop(t)) for t in corpus.trees]
-    grammar = induce_pcfg(factored, AXIOM)
+    grammar = induce_pcfg(factored)
     context = ContextModel(grammar, CondConfig(0, 0, 0))
     context.train_counts(factored)
     lookahead = LookaheadTables.from_trees(grammar, factored)

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .treebank import CHILD_SEP, EPSILON, FACTOR_SEP, Tree
+from .treebank import AXIOM, CHILD_SEP, EPSILON, FACTOR_SEP, Tree
 
 
 class GrammarError(ValueError):
@@ -146,6 +146,7 @@ def tree_to_derivation(t: Tree) -> Iterator[Rule]:
 class Pcfg:
     """A relative-frequency PCFG over factored rules, and the one index of its rules.
 
+    Its start is the axiom, ``AXIOM``: every derivation starts there.
     Rule ids are positions in the sorted rule list, stable across
     save/load.  One pass over it builds the tables that the parser, the
     look-ahead and the model read instead of building their own:
@@ -156,10 +157,9 @@ class Pcfg:
     (preterminal -> word -> count) and ``erased`` (lhs -> epsilon count).
     """
 
-    def __init__(self, rule_counts: dict[Rule, int], start: str):
+    def __init__(self, rule_counts: dict[Rule, int]):
         if not rule_counts:
             raise GrammarError("no rules")
-        self.start = start
         self.rule_counts = dict(rule_counts)
         self.lhs_counts: dict[str, int] = {}
         for rule, n in rule_counts.items():
@@ -192,8 +192,8 @@ class Pcfg:
 
     def _validate(self) -> None:
         """Every rule is in factored form over symbols that have expansions."""
-        if self.start not in self.lhs_counts:
-            raise GrammarError(f"start symbol {self.start!r} has no rules")
+        if AXIOM not in self.lhs_counts:
+            raise GrammarError(f"the axiom {AXIOM!r} has no rules")
         for rule in self.rules:
             if rule.lexical:
                 if len(rule.rhs) != 1:
@@ -214,22 +214,22 @@ class Pcfg:
                 raise GrammarError(f"rule {rule.render()} is not in factored form")
 
 
-def induce_pcfg(trees: Iterable[Tree], start: str) -> Pcfg:
-    """Relative-frequency estimation over factored, axiom-rooted trees."""
+def induce_pcfg(trees: Iterable[Tree]) -> Pcfg:
+    """Relative-frequency estimation over factored trees rooted at the axiom, the grammar's start."""
     counts: dict[Rule, int] = {}
     any_tree = False
     for t in trees:
         any_tree = True
-        if t.label != start:
+        if t.label != AXIOM:
             raise GrammarError(
-                f"tree rooted at {t.label!r}; expected the axiom {start!r} "
+                f"tree rooted at {t.label!r}; expected the axiom {AXIOM!r} "
                 "(augment before inducing)"
             )
         for rule in tree_to_derivation(t):
             counts[rule] = counts.get(rule, 0) + 1
     if not any_tree:
         raise GrammarError("empty corpus")
-    return Pcfg(counts, start)
+    return Pcfg(counts)
 
 
 def log_tree_probability(g: Pcfg, t: Tree) -> float:

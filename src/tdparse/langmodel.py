@@ -2,10 +2,11 @@
 
 The ratio of successive queue masses is the parser's conditional word
 probability: mass(i+1)/mass(i) = P(word i | words < i) up to beam loss.
-Each conditional is shrunk slightly toward a unigram floor so that beam
-search errors never zero out a whole sentence; if the parser loses every
-analysis (a garden path), the unigram alone stands in for the rest of
-the sentence.  Perplexities count the end-of-sentence marker as a word.
+Each conditional is shrunk slightly toward a unigram floor, keeping the
+share MODEL_WEIGHT (0.999), so that beam search errors never zero out a
+whole sentence; if the parser loses every analysis (a garden path), the
+unigram alone stands in for the rest of the sentence.  Perplexities count
+the end-of-sentence marker as a word.
 
 A standard trigram model with deleted interpolation (weights tied by
 history-count bucket, fit with the same EM used for the conditioning
@@ -17,13 +18,15 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .conditioning import InterpolationTable
 from .parser import BeamParser, ParseResult, queue_mass
 from .treebank import END_TOKEN, Tree
 
 START_TOKEN = "<s>"
+# The parser's share of each word probability; the unigram gets the rest.
+MODEL_WEIGHT = 0.999
 
 
 class LangModelError(ValueError):
@@ -54,13 +57,7 @@ class WordProbTrace:
         return total
 
 
-def word_probabilities(
-    result: ParseResult,
-    unigram: dict[str, float],
-    model_weight: float = 0.999,
-) -> WordProbTrace:
-    if not 0.0 < model_weight <= 1.0:
-        raise LangModelError("model_weight must be in (0, 1]")
+def word_probabilities(result: ParseResult, unigram: dict[str, float]) -> WordProbTrace:
     masses = result.masses
     model: list[float] = []
     final: list[float] = []
@@ -70,7 +67,7 @@ def word_probabilities(
         if masses[i] > 0.0:
             ratio = masses[i + 1] / masses[i]
             model.append(ratio)
-            final.append(model_weight * ratio + (1.0 - model_weight) * uni)
+            final.append(MODEL_WEIGHT * ratio + (1.0 - MODEL_WEIGHT) * uni)
             fallback.append(False)
         else:
             model.append(0.0)
@@ -79,18 +76,17 @@ def word_probabilities(
     return WordProbTrace(result.words, tuple(model), tuple(final), tuple(fallback))
 
 
-def perplexity(probs: Iterable[float], n_words: Optional[int] = None) -> float:
+def perplexity(probs: Iterable[float]) -> float:
     """exp of the average negative log probability; inf if any prob is 0."""
     probs = list(probs)
-    n = n_words if n_words is not None else len(probs)
-    if n <= 0:
+    if not probs:
         raise LangModelError("perplexity needs at least one word")
     total = 0.0
     for p in probs:
         if p <= 0.0:
             return math.inf
         total -= math.log(p)
-    return math.exp(total / n)
+    return math.exp(total / len(probs))
 
 
 def corpus_perplexity(traces: Iterable[WordProbTrace]) -> float:

@@ -39,7 +39,7 @@ FORMAT_VERSION = 1
 # Counts are positive, and each count row's key appears once.
 BAD_COUNT = "count below 1 or repeated count row"
 # Records a model file holds exactly once.
-ONCE = ("grammar start", "cond config", "ngram order", "norm strip_punctuation", "norm vocab_cap", "lap k")
+ONCE = ("cond config", "ngram order", "norm strip_punctuation", "norm vocab_cap", "lap k")
 
 
 class ModelIOError(ValueError):
@@ -91,7 +91,7 @@ def train_parser_model(
 
     factored = [left_factor_tree(augment_with_stop(t)) for t in norm_train.trees]
     factored_heldout = [left_factor_tree(augment_with_stop(t)) for t in norm_heldout.trees]
-    grammar = induce_pcfg(factored, AXIOM)
+    grammar = induce_pcfg(factored)
 
     context = ContextModel(grammar, cond_config)
     context.train_counts(factored)
@@ -251,8 +251,8 @@ def _copied_rows(grammar: Pcfg) -> dict[str, list[str]]:
     """Every row that follows from the grammar and the fixed protocol symbols alone, by record.
 
     The fixed symbols are the reserved tokens, the punctuation labels, the
-    conjunction label and the head rules.  From the grammar follow the
-    vocabulary (its words and the unknown token), the rule counts per lhs
+    axiom, the conjunction label and the head rules.  From the grammar
+    follow the vocabulary (its words and the unknown token), the rule counts per lhs
     (``ctx 0`` and ``lap occ``), the epsilon and lexical rule counts
     (``lap eps``, ``lap pw``) and each word's lexical counts summed over its
     tags (the unigram, ``ngram count 0``).  ``save_model`` writes these
@@ -268,6 +268,7 @@ def _copied_rows(grammar: Pcfg) -> dict[str, list[str]]:
         "norm end_token": [f"norm end_token {END_TOKEN}"],
         "norm punct_label": [f"norm punct_label {label}" for label in sorted(PUNCT_LABELS)],
         "vocab": [f"vocab {token}" for token in sorted(grammar.vocabulary | {UNK_TOKEN})],
+        "grammar start": [f"grammar start {AXIOM}"],
         "cond conj": [f"cond conj {CONJ_LABEL}"],
         "head": [" ".join(["head", label, direction, *priorities]) for label, (direction, priorities) in sorted(HEAD_TABLE.items())],
         "ctx 0": [f"ctx 0 ={lhs} {rid} {grammar.rule_counts[rule]}"
@@ -297,7 +298,7 @@ def save_model(model: ParserModel, path: str) -> None:
     lines += copies["norm unk_token"] + copies["norm end_token"] + copies["norm punct_label"] + copies["vocab"]
 
     g = model.grammar
-    lines.append(f"grammar start {g.start}")
+    lines += copies["grammar start"]
     for rule in g.rules:
         lines.append(_rule_line(rule, g.rule_counts[rule]))
 
@@ -367,13 +368,8 @@ def load_model(path: str) -> ParserModel:
                     _once(single, f"norm {name}", _norm_value(name, value))
                 else:
                     _once(kept, " ".join(parts), lineno)
-            elif kind in ("vocab", "head"):
+            elif kind in ("vocab", "grammar", "head"):
                 _once(kept, " ".join(parts), lineno)
-            elif kind == "grammar":
-                _, sub, value = parts
-                if sub != "start":
-                    raise _BadLine(f"unknown grammar record {sub!r}")
-                _once(single, "grammar start", value)
             elif kind == "rule":
                 if parts[2] not in ("eps", "lex", "bin"):
                     raise _BadLine(f"unknown rule kind {parts[2]!r}")
@@ -449,7 +445,7 @@ def load_model(path: str) -> ParserModel:
         raise ModelIOError(f"{path}: ngram order {ngram_order} but no counts above level {top}")
     normalization = NormalizationConfig(strip_punctuation=single["norm strip_punctuation"], vocab_cap=single["norm vocab_cap"])
     try:
-        grammar = Pcfg(rule_counts, single["grammar start"])
+        grammar = Pcfg(rule_counts)
     except GrammarError as exc:
         raise ModelIOError(f"{path}: {exc}") from None
     context = ContextModel(grammar, single["cond config"])

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 
 from .grammar import Pcfg
-from .treebank import EPSILON, Tree
+from .treebank import AXIOM, EPSILON, Tree
 
 
 class OracleError(ValueError):
@@ -68,7 +68,7 @@ def enumerate_derivations(
     prefix_terms[0].append(1.0)
     complete: list[tuple[float, tuple[int, ...]]] = []
     pending: list[tuple[tuple[str, ...], int, float, tuple[int, ...]]] = [
-        ((grammar.start,), 0, 0.0, ())
+        ((AXIOM,), 0, 0.0, ())
     ]
     steps = 0
     while pending:
@@ -142,7 +142,7 @@ def derivation_tree(grammar: Pcfg, rule_ids: tuple[int, ...]) -> Tree:
             return Tree(rule.lhs, (Tree(EPSILON),))
         return Tree(rule.lhs, tuple(build(s) for s in rule.rhs))
 
-    tree = build(grammar.start)
+    tree = build(AXIOM)
     leftover = sum(1 for _ in rules)
     if leftover:
         raise OracleError(f"derivation has {leftover} rules beyond the complete tree")

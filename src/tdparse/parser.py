@@ -82,7 +82,7 @@ from typing import Optional
 from .conditioning import ContextModel, SpineNode, apply_rule, spine_step  # noqa: F401
 from .grammar import Pcfg
 from .lookahead import LookaheadTables
-from .treebank import Tree
+from .treebank import AXIOM, Tree
 
 
 class ParseError(ValueError):
@@ -275,7 +275,7 @@ class BeamParser:
         return self._fill(stack, word) if lap is None else lap
 
     def initial_entries(self, first_word: Optional[str]) -> list[Analysis]:
-        stack = (self.grammar.start,)
+        stack = (AXIOM,)
         return [Analysis(stack, None, 0.0, float(self._lap(stack, first_word)), ())]
 
     def advance(
@@ -437,7 +437,7 @@ class BeamParser:
             node = node.parent
         leaves = tuple(Tree(w) for w in remaining)
         if sub is None:
-            return Tree(self.grammar.start, leaves)
+            return Tree(AXIOM, leaves)
         if leaves:
             sub = Tree(sub.label, sub.children + leaves)
         return sub

@@ -9,7 +9,8 @@ Brackets are self-delimiting; everything else splits on whitespace.  The
 label right after an open bracket names the node, bare tokens are leaves.
 Node labels may not contain ``-`` or ``,``: those characters are reserved
 for rendering factored nonterminals (see grammar.py), and letting them
-into input labels would make factored labels ambiguous.
+into input labels would make factored labels ambiguous.  Nor may a leaf be
+the end marker or the epsilon marker, which only the parser places.
 """
 
 from __future__ import annotations
@@ -171,6 +172,8 @@ def parse_trees(text: str, source: str = "<string>") -> list[Tree]:
             else:
                 if not stack:
                     fail(lineno, f"token {tok!r} outside any tree")
+                if tok in (END_TOKEN, EPSILON):
+                    fail(lineno, f"reserved token {tok!r} in a tree")
                 stack[-1][1].append(Tree(tok))
     if stack:
         raise TreebankError(
@@ -275,19 +278,31 @@ def _normal_token(tok: str, keep: Optional[AbstractSet[str]]) -> str:
     return tok if keep is None or tok in keep else UNK_TOKEN
 
 
-def _normalized_tree(t: Tree, strip: bool, keep: Optional[AbstractSet[str]]) -> Optional[Tree]:
+class _TokenMap(dict):
+    """Token -> its normal token under ``keep``, each distinct token worked out once."""
+
+    def __init__(self, keep: Optional[AbstractSet[str]]):
+        super().__init__()
+        self.keep = keep
+
+    def __missing__(self, tok: str) -> str:
+        self[tok] = normal = _normal_token(tok, self.keep)
+        return normal
+
+
+def _normalized_tree(t: Tree, strip: bool, tokens: _TokenMap) -> Optional[Tree]:
     """``t`` without punctuation preterminals (when ``strip``) and with every token
-    mapped by the token rule; ``t`` itself when nothing under it changes, None
-    when nothing is left."""
+    mapped by ``tokens``; ``t`` itself when nothing under it changes, None when
+    nothing is left."""
     if not t.children:
-        tok = _normal_token(t.label, keep)
+        tok = tokens[t.label]
         return t if tok == t.label else Tree(tok)
     if strip and t.label in PUNCT_LABELS and t.is_preterminal:
         return None
     # A loop, not a comprehension, so each tree level costs one frame.
     kept = []
     for child in t.children:
-        sub = _normalized_tree(child, strip, keep)
+        sub = _normalized_tree(child, strip, tokens)
         if sub is not None:
             kept.append(sub)
     if len(kept) == len(t.children) and all(map(operator.is_, kept, t.children)):
@@ -311,9 +326,9 @@ def speech_normalize(
     shared with the input, not copied.  Idempotent: a second pass returns
     the very trees it was given.
     """
-    trees = []
+    trees, tokens = [], _TokenMap(keep_tokens)
     for n, t in enumerate(corpus.trees, start=1):
-        t = _normalized_tree(t, cfg.strip_punctuation, keep_tokens)
+        t = _normalized_tree(t, cfg.strip_punctuation, tokens)
         if t is None:
             raise TreebankError(f"{corpus.role} tree {n}: normalization emptied the yield")
         trees.append(t)
@@ -327,8 +342,8 @@ def speech_normalize(
             (tok for tok in counts if tok not in RESERVED_TOKENS),
             key=lambda tok: (-counts[tok], tok),
         )
-        keep = RESERVED_TOKENS.union(ranked[: cfg.vocab_cap])
-        trees = [_normalized_tree(t, False, keep) for t in trees]
+        tokens = _TokenMap(RESERVED_TOKENS.union(ranked[: cfg.vocab_cap]))
+        trees = [_normalized_tree(t, False, tokens) for t in trees]
     vocab = {tok for t in trees for tok in t.yield_tokens()}
     vocab.update({END_TOKEN, UNK_TOKEN})
     return Corpus(tuple(trees), frozenset(vocab), corpus.role)

@@ -113,7 +113,7 @@ def build_parser(
     oracle comparison uses.
     """
     factored = factored_corpus(trees)
-    grammar = induce_pcfg(factored, AXIOM)
+    grammar = induce_pcfg(factored)
     context = ContextModel(grammar, CondConfig(*depths))
     context.train_counts(factored)
     if heldout is not None:

@@ -46,6 +46,7 @@ from tdparse.langmodel import (
 from tdparse.oracle import enumerate_derivations
 from tdparse.parser import BeamParser, ParserConfig
 from tdparse.treebank import (
+    AXIOM,
     END_TOKEN,
     NormalizationConfig,
     augment_with_stop,
@@ -190,7 +191,7 @@ def _language(grammar, max_words: int) -> list[tuple[str, ...]]:
     """
     need = _min_yields(grammar)
     seen: set[tuple[str, ...]] = set()
-    frames = [((grammar.start,), ())]
+    frames = [((AXIOM,), ())]
     while frames:
         stack, words = frames.pop()
         if not stack:

@@ -43,7 +43,7 @@ def _pt(label, tok):
 @pytest.fixture(scope="module")
 def g1(g1_trees):
     fact = factored_corpus(g1_trees)
-    grammar = induce_pcfg(fact, AXIOM)
+    grammar = induce_pcfg(fact)
     cm = ContextModel(grammar, CondConfig())
     cm.train_counts(fact)
     return grammar, cm, fact
@@ -122,7 +122,7 @@ def _outcome(step, spine):
 
 def _check_steps(factored):
     """Every rule's step, on every distinct replayed spine, equals the reference."""
-    grammar = induce_pcfg(factored, AXIOM)
+    grammar = induce_pcfg(factored)
     spines = {}
     for spine in reference_spines(factored):
         spines.setdefault(tuple(_chain(spine)), spine)
@@ -552,7 +552,7 @@ _COUNT_DEPTHS = [(6, 5, 4), (2, 2, 2), (0, 0, 0)]
 
 def _assert_counts_match_per_expansion(trees):
     fact = factored_corpus(trees)
-    grammar = induce_pcfg(fact, AXIOM)
+    grammar = induce_pcfg(fact)
     for depths in _COUNT_DEPTHS:
         tallied = ContextModel(grammar, CondConfig(*depths))
         reference = ContextModel(grammar, CondConfig(*depths))
@@ -597,7 +597,7 @@ _DEPTH_PINS = [
 @pytest.fixture(scope="module")
 def desk_replay(desk):
     fact = factored_corpus(desk.train.trees)
-    return induce_pcfg(fact, AXIOM), list(replay(fact))
+    return induce_pcfg(fact), list(replay(fact))
 
 
 @pytest.mark.parametrize("spec, values_sha, model_sha", _DEPTH_PINS)

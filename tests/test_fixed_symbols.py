@@ -1,6 +1,8 @@
 """The protocol symbols are constants, not settings: no public callable or
 dataclass field of the package takes a reserved token, the punctuation
-labels, the axiom or stop label, the head rules or the conjunction label."""
+labels, the axiom (the grammar's start) or stop label, the head rules or the
+conjunction label.  Nor does any take the parser's share of a word
+probability or the number of words a perplexity averages over."""
 
 import dataclasses
 import importlib
@@ -11,7 +13,7 @@ import tdparse
 
 FORBIDDEN = {
     "end_token", "unk_token", "number_token", "punct_labels", "axiom",
-    "stop_label", "head_table", "conj_label", "table",
+    "stop_label", "head_table", "conj_label", "table", "start", "model_weight", "n_words",
 }
 # The perfbench harness passes the end token to augment_with_stop.
 ALLOWED = {("tdparse.treebank.augment_with_stop", "end_token")}

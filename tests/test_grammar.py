@@ -117,7 +117,7 @@ def test_derivation_order():
 
 
 def test_induced_rule_probabilities(g1_trees):
-    g = induce_pcfg(factored_corpus(g1_trees), AXIOM)
+    g = induce_pcfg(factored_corpus(g1_trees))
     # Hand-tallied from g1.trees: 5 NPs (3 bare NN, 2 with DT), 4 VPs
     # (3 intransitive), 5 NN tokens (Spot x3, ball, dog).
     prob = {rule: math.exp(lp) for entries in g.by_lhs.values() for rule, _, lp in entries}
@@ -130,7 +130,7 @@ def test_induced_rule_probabilities(g1_trees):
 
 
 def test_probabilities_sum_to_one_per_lhs(g1_trees):
-    g = induce_pcfg(factored_corpus(g1_trees), AXIOM)
+    g = induce_pcfg(factored_corpus(g1_trees))
     for lhs, entries in g.by_lhs.items():
         assert math.fsum(math.exp(lp) for _, _, lp in entries) == pytest.approx(
             1.0, abs=1e-12
@@ -138,13 +138,13 @@ def test_probabilities_sum_to_one_per_lhs(g1_trees):
 
 
 def test_rule_ids_stable_and_sorted(g1_trees):
-    g = induce_pcfg(factored_corpus(g1_trees), AXIOM)
+    g = induce_pcfg(factored_corpus(g1_trees))
     assert g.rules == sorted(g.rules)
     assert all(g.rules[i] == r for r, i in g.rule_ids.items())
 
 
 def test_g1_tree_probability(g1_trees):
-    g = induce_pcfg(factored_corpus(g1_trees), AXIOM)
+    g = induce_pcfg(factored_corpus(g1_trees))
     target = augment_with_stop(parse_trees("(S (NP (DT the) (NN dog)) (VP (VBD ran)))")[0])
     assert tree_probability(g, left_factor_tree(target)) == pytest.approx(
         0.045, rel=1e-12
@@ -152,7 +152,7 @@ def test_g1_tree_probability(g1_trees):
 
 
 def test_unseen_rule_gives_zero():
-    g = induce_pcfg(factored_corpus(parse_trees("(S (A x))")), AXIOM)
+    g = induce_pcfg(factored_corpus(parse_trees("(S (A x))")))
     other = left_factor_tree(augment_with_stop(parse_trees("(S (A y))")[0]))
     assert log_tree_probability(g, other) == -math.inf
     assert tree_probability(g, other) == 0.0
@@ -177,7 +177,7 @@ def _unfactored_prob(trees, target):
 
 def test_factoring_preserves_probability_g1(g1_trees):
     aug = [augment_with_stop(t) for t in g1_trees]
-    g = induce_pcfg([left_factor_tree(t) for t in aug], AXIOM)
+    g = induce_pcfg([left_factor_tree(t) for t in aug])
     for t in aug:
         expected = _unfactored_prob(aug, t)
         got = tree_probability(g, left_factor_tree(t))
@@ -187,7 +187,7 @@ def test_factoring_preserves_probability_g1(g1_trees):
 @pytest.mark.parametrize("seed", [11, 29, 47])
 def test_factoring_preserves_probability_random(seed):
     aug = [augment_with_stop(t) for t in random_corpus(40, seed)]
-    g = induce_pcfg([left_factor_tree(t) for t in aug], AXIOM)
+    g = induce_pcfg([left_factor_tree(t) for t in aug])
     for t in aug:
         expected = float(_unfactored_prob(aug, t))
         got = tree_probability(g, left_factor_tree(t))
@@ -198,19 +198,19 @@ def test_factoring_preserves_probability_random(seed):
 def test_pcfg_validation_errors():
     lex = Rule("A", ("x",), True)
     with pytest.raises(GrammarError, match="no rules"):
-        Pcfg({}, AXIOM)
+        Pcfg({})
     with pytest.raises(GrammarError, match="has count"):
-        Pcfg({lex: 0}, "A")
-    with pytest.raises(GrammarError, match="start symbol"):
-        Pcfg({lex: 1}, "S")
+        Pcfg({Rule(AXIOM, ("A", "A"), False): 1, lex: 0})
+    with pytest.raises(GrammarError, match="the axiom 'TOP' has no rules"):
+        Pcfg({lex: 1})
     with pytest.raises(GrammarError, match="epsilon rule on unfactored"):
-        Pcfg({Rule("S", (), False): 1, lex: 1}, "S")
+        Pcfg({Rule(AXIOM, (), False): 1, lex: 1})
     with pytest.raises(GrammarError, match="no expansions"):
-        Pcfg({Rule("S", ("A", "B"), False): 1, lex: 1}, "S")
+        Pcfg({Rule(AXIOM, ("A", "B"), False): 1, lex: 1})
     with pytest.raises(GrammarError, match="not in factored form"):
-        Pcfg({Rule("S", ("A", "A", "A"), False): 1, lex: 1}, "S")
+        Pcfg({Rule(AXIOM, ("A", "A", "A"), False): 1, lex: 1})
     with pytest.raises(GrammarError, match="is not unary"):
-        Pcfg({Rule("A", (), True): 1}, "A")
+        Pcfg({Rule(AXIOM, (), True): 1})
 
 
 def _rule_index(rule_counts):
@@ -238,7 +238,7 @@ def _assert_rule_index(g):
 
 
 def test_rule_index_on_g1(g1_trees):
-    g = induce_pcfg(factored_corpus(g1_trees), AXIOM)
+    g = induce_pcfg(factored_corpus(g1_trees))
     _assert_rule_index(g)
     assert g.word_pos["Spot"] == {"NN"} and g.pos_word["NN"] == {"Spot": 3, "ball": 1, "dog": 1}
     assert g.phrasal["NN"] == () and g.erased["VP-VBD"] == 3
@@ -247,14 +247,14 @@ def test_rule_index_on_g1(g1_trees):
 @settings(max_examples=30, deadline=None)
 @given(n=st.integers(1, 8), seed=st.integers(0, 10_000))
 def test_rule_index_on_random_grammars(n, seed):
-    _assert_rule_index(induce_pcfg(factored_corpus(random_corpus(n, seed)), AXIOM))
+    _assert_rule_index(induce_pcfg(factored_corpus(random_corpus(n, seed))))
 
 
 def test_induce_requires_axiom_root(g1_trees):
     with pytest.raises(GrammarError, match="augment before inducing"):
-        induce_pcfg(g1_trees, AXIOM)
+        induce_pcfg(g1_trees)
     with pytest.raises(GrammarError, match="empty corpus"):
-        induce_pcfg([], AXIOM)
+        induce_pcfg([])
 
 
 def _recursive_derivation(t):

@@ -95,12 +95,11 @@ def test_word_probabilities_garden_path(g1_parser, uni):
     assert tr.final_probs[0] == pytest.approx(0.999 * 0.4 + 0.001 * uni["the"], rel=1e-12)
 
 
-def test_word_probabilities_weight_validation(g1_parser, uni):
+def test_word_probabilities_shrink_toward_unigram(g1_parser, uni):
     r = g1_parser.parse(_sent("Spot ran"))
-    with pytest.raises(LangModelError, match="model_weight"):
-        word_probabilities(r, uni, model_weight=0.0)
-    raw = word_probabilities(r, uni, model_weight=1.0)
-    assert raw.final_probs == raw.model_probs
+    tr = word_probabilities(r, uni)
+    assert not any(tr.fallback)
+    assert tr.final_probs == tuple(0.999 * p + (1.0 - 0.999) * uni[w] for p, w in zip(tr.model_probs, tr.words))
 
 
 def test_model_ratios_telescope(g1_parser):
@@ -115,7 +114,6 @@ def test_perplexity_values():
     assert perplexity([0.5, 0.5]) == pytest.approx(2.0, rel=1e-12)
     assert perplexity([0.25] * 8) == pytest.approx(4.0, rel=1e-12)
     assert perplexity([0.5, 0.0]) == math.inf
-    assert perplexity([0.5], n_words=2) == pytest.approx(math.sqrt(2), rel=1e-12)
     with pytest.raises(LangModelError, match="at least one word"):
         perplexity([])
 

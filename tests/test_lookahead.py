@@ -4,12 +4,12 @@ from hypothesis import given, settings, strategies as st
 from support import factored_corpus, fixture_trees, random_corpus
 from tdparse.grammar import induce_pcfg
 from tdparse.lookahead import LookaheadError, LookaheadTables
-from tdparse.treebank import AXIOM, EPSILON, parse_trees
+from tdparse.treebank import EPSILON, parse_trees
 
 
 def tables_for(trees, smoothing_k=5):
     factored = factored_corpus(trees)
-    return LookaheadTables.from_trees(induce_pcfg(factored, AXIOM), factored, smoothing_k)
+    return LookaheadTables.from_trees(induce_pcfg(factored), factored, smoothing_k)
 
 
 def walked_counts(factored):
@@ -57,7 +57,7 @@ def lap(g1_trees):
 
 
 def test_rule_count_tables_are_the_grammars(g1_trees):
-    grammar = induce_pcfg(factored_corpus(g1_trees), AXIOM)
+    grammar = induce_pcfg(factored_corpus(g1_trees))
     t = LookaheadTables(grammar, {}, {})
     assert t.occurrences is grammar.lhs_counts and t.erased is grammar.erased and t.pos_word is grammar.pos_word
 
@@ -131,7 +131,7 @@ def test_stack_prob_whole_stack_erasure(lap):
 
 def test_probability_ranges_random_corpus():
     trees = factored_corpus(random_corpus(30, seed=5))
-    t = LookaheadTables.from_trees(induce_pcfg(trees, AXIOM), trees)
+    t = LookaheadTables.from_trees(induce_pcfg(trees), trees)
     words = {tok for tree in trees for tok in tree.yield_tokens()}
     for sym in t.occurrences:
         assert 0.0 <= t.eps_prob(sym) <= 1.0
@@ -140,7 +140,7 @@ def test_probability_ranges_random_corpus():
 
 
 def test_constructor_validation():
-    grammar = induce_pcfg(factored_corpus(fixture_trees("g1.trees")), AXIOM)
+    grammar = induce_pcfg(factored_corpus(fixture_trees("g1.trees")))
     with pytest.raises(LookaheadError, match="nonnegative"):
         LookaheadTables(grammar, {}, {}, smoothing_k=-1)
     with pytest.raises(LookaheadError, match="no constituents"):

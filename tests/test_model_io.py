@@ -1,5 +1,7 @@
+import gc
 import math
 import re
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from support import as_corpus, fixture_trees, reference_unigram
 from tdparse.conditioning import CondConfig, ContextModel, replay
 from tdparse.grammar import Rule, left_factor_tree
-from tdparse.langmodel import sentences_from_trees
+from tdparse.langmodel import sentences_from_trees, word_probabilities
 from tdparse.lookahead import LookaheadTables
 from tdparse.model_io import (
     FORMAT_VERSION,
@@ -329,7 +331,7 @@ def test_load_rejects_unknown_grammar_record(g1_model, tmp_path):
     path = _tampered(
         g1_model, tmp_path, lambda lines: ["grammar foo TOP" if l == "grammar start TOP" else l for l in lines]
     )
-    with pytest.raises(ModelIOError, match=r"broken\.model:\d+: unknown grammar record 'foo'"):
+    with pytest.raises(ModelIOError, match=r"broken\.model:\d+: not one of the copied rows: grammar foo TOP"):
         load_model(path)
 
 
@@ -479,8 +481,8 @@ def test_vocabulary_is_the_grammar_words_and_unk(g1_model, desk):
 
 # The records whose rows follow from the grammar and the fixed protocol symbols alone.
 COPIED_RECORDS = (
-    "norm number_token ", "norm unk_token ", "norm end_token ", "norm punct_label ", "vocab ", "cond conj ",
-    "head ", "ctx 0 ", "lap occ ", "lap eps ", "lap pw ", "ngram count 0 ",
+    "norm number_token ", "norm unk_token ", "norm end_token ", "norm punct_label ", "vocab ", "grammar start ",
+    "cond conj ", "head ", "ctx 0 ", "lap occ ", "lap eps ", "lap pw ", "ngram count 0 ",
 )
 
 
@@ -494,7 +496,7 @@ def test_every_copied_row_is_checked(g1_saved, edit):
     """Deleting any copied row of g1 names the row; repeating or editing it names its line."""
     lines, _, path = g1_saved
     copied = [i for i, line in enumerate(lines) if line.startswith(COPIED_RECORDS)]
-    assert len(copied) == 102
+    assert len(copied) == 103
     for i in copied:
         row = lines[i]
         if edit == "delete":
@@ -527,3 +529,25 @@ def test_loaded_tables_equal_the_trained_tables(desk, tmp_path):
         loaded = load_model(str(path))
         assert loaded.context.tables == model.context.tables
         assert loaded.ngram.tables == model.ngram.tables
+
+
+def test_a_loaded_model_and_its_parser_are_freed_by_reference_counting(desk, tmp_path):
+    """A benchmark that swaps models frees the old one by reference counting alone,
+    so no reference cycle may hold a model, its tables or a parser over them."""
+    path = tmp_path / "desk.model"
+    save_model(desk.models["all"], str(path))
+    words = desk.sents[0]
+    gc.disable()
+    try:
+        model = load_model(str(path))
+        parser = BeamParser(model.grammar, model.context, model.lookahead)
+        result = parser.parse(words)
+        trace = word_probabilities(result, model.unigram)
+        trigram = model.ngram.word_probs(words)
+        assert not result.failed and len(trace.final_probs) == len(trigram) == len(words)
+        owned = (model, model.grammar, model.context, model.lookahead, model.ngram, parser)
+        refs = [weakref.ref(obj) for obj in owned]
+        del model, parser, result, trace, owned
+        assert [ref() for ref in refs] == [None] * len(refs)
+    finally:
+        gc.enable()

@@ -11,12 +11,12 @@ from tdparse.oracle import (
     enumerate_derivations,
     exact_next_word_probs,
 )
-from tdparse.treebank import AXIOM, END_TOKEN, augment_with_stop, parse_trees
+from tdparse.treebank import END_TOKEN, augment_with_stop, parse_trees
 
 
 @pytest.fixture(scope="module")
 def g1(g1_trees):
-    return induce_pcfg(factored_corpus(g1_trees), AXIOM)
+    return induce_pcfg(factored_corpus(g1_trees))
 
 
 def _sent(text):
@@ -50,7 +50,7 @@ def test_word_prob_after_dead_prefix(g1):
 
 
 def test_complete_derivations_sorted(g1):
-    g2 = induce_pcfg(factored_corpus(fixture_trees("g2.trees")), AXIOM)
+    g2 = induce_pcfg(factored_corpus(fixture_trees("g2.trees")))
     for sent in fixture_sentences("g2.sents"):
         r = enumerate_derivations(g2, sent + [END_TOKEN])
         assert r.complete == sorted(r.complete, key=lambda c: (-c[0], c[1]))
@@ -58,7 +58,7 @@ def test_complete_derivations_sorted(g1):
 
 def test_single_derivation_probability_one():
     # one tree, no choices anywhere: every conditional is 1
-    g = induce_pcfg(factored_corpus(parse_trees("(S (A x) (B y))")), AXIOM)
+    g = induce_pcfg(factored_corpus(parse_trees("(S (A x) (B y))")))
     r = enumerate_derivations(g, ["x", "y", END_TOKEN])
     assert r.sentence_prob == pytest.approx(1.0, rel=1e-12)
     assert all(m == pytest.approx(1.0, rel=1e-12) for m in r.prefix_mass)
@@ -87,7 +87,7 @@ def test_budget_error_on_left_recursion():
         Rule("X-X", (), False): 1,
         Rule("A", ("a",), True): 1,
     }
-    g = Pcfg(rules, "TOP")
+    g = Pcfg(rules)
     with pytest.raises(OracleError, match="budget exhausted"):
         enumerate_derivations(g, ["a"], OracleConfig(max_steps=200))
 
@@ -103,7 +103,7 @@ def test_budget_tolerates_negligible_frontier():
         Rule("X-X", (), False): 1,
         Rule("A", ("a",), True): 1,
     }
-    g = Pcfg(rules, "TOP")
+    g = Pcfg(rules)
     r = enumerate_derivations(g, ["a"], OracleConfig(max_steps=200, mass_tol=1.0))
     assert r.steps >= 200
 

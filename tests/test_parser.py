@@ -14,7 +14,7 @@ from tdparse import conditioning
 from tdparse.conditioning import LEFT
 from tdparse import parser as parser_module
 from tdparse.parser import Analysis, BeamParser, ParseError, ParserConfig, Unreachable, beam_threshold, queue_mass
-from tdparse.treebank import END_TOKEN, Tree, augment_with_stop, parse_trees
+from tdparse.treebank import AXIOM, END_TOKEN, Tree, augment_with_stop, parse_trees
 
 
 @pytest.fixture(scope="module")
@@ -117,7 +117,7 @@ def test_garden_path_fallback(g1_parser):
     assert r.failed and r.completed == []
     assert r.fallback_from == 1
     assert r.tree.yield_tokens() == ["the", "the", END_TOKEN]
-    assert r.tree.label == g1_parser.grammar.start
+    assert r.tree.label == AXIOM
 
 
 def test_pop_budget_exhaustion_falls_back(g1_trees):
@@ -544,7 +544,7 @@ class UnmemoizedParser(BeamParser):
     """
 
     def initial_entries(self, first_word):
-        stack = (self.grammar.start,)
+        stack = (AXIOM,)
         return [Analysis(stack, None, 0.0, self._lap_log(stack, first_word), ())]
 
     def advance_mass(self, entries, word):

@@ -259,13 +259,14 @@ def test_readers_name_a_file_that_is_not_utf8(tmp_path):
             read(str(p))
 
 
-def _rebuilding_normalized_tree(t, strip, keep):
-    """Reference: the normalizing walk, copying every node it keeps."""
+def _rebuilding_normalized_tree(t, strip, tokens):
+    """Reference: the normalizing walk, copying every node it keeps and applying
+    the token rule to every leaf, not looking it up in ``tokens``."""
     if t.is_leaf:
-        return Tree(treebank._normal_token(t.label, keep))
+        return Tree(treebank._normal_token(t.label, tokens.keep))
     if strip and t.is_preterminal and t.label in PUNCT_LABELS:
         return None
-    kept = [sub for sub in (_rebuilding_normalized_tree(c, strip, keep) for c in t.children) if sub is not None]
+    kept = [sub for sub in (_rebuilding_normalized_tree(c, strip, tokens) for c in t.children) if sub is not None]
     return Tree(t.label, kept) if kept else None
 
 
@@ -324,6 +325,21 @@ def test_normalize_matches_rebuilding_on_fixtures(name):
 def test_normalize_matches_rebuilding_on_desk(desk):
     for cap in (10_000, 20):
         _assert_normalize_matches_rebuilding(list(desk.train.trees), NormalizationConfig(vocab_cap=cap))
+
+
+def test_training_normalization_folds_each_token_at_most_once(desk, monkeypatch):
+    calls = []
+    number = treebank.is_number_token
+    monkeypatch.setattr(treebank, "is_number_token", lambda tok: calls.append(tok) or number(tok))
+    speech_normalize(desk.train, NormalizationConfig())
+    words, stack = 0, list(desk.train.trees)
+    while stack:
+        node = stack.pop()
+        if node.is_preterminal:
+            words += node.label not in PUNCT_LABELS
+        else:
+            stack.extend(node.children)
+    assert 0 < len(calls) <= words
 
 
 def test_normalize_shares_unchanged_subtrees():
