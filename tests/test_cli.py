@@ -145,123 +145,107 @@ def test_parse_names_file_and_field_of_bad_norm_value(g1_model_path, tmp_path, c
     assert stderr == f"error={broken}:{lineno}: norm field 'strip_punctuation' must be 0 or 1\n"
 
 
-# Edits of a saved g1 model: (line, the lines that replace it, the error after
-# "error=<file>").  Each replacement deletes the line, repeats it and adds one
-# more, or swaps in one other line.
-BAD_MODEL_EDITS = [
-    ("lap occ NP 5", ["lap occ NP"], r":\d+: not one of the copied rows: lap occ NP"),
-    ("lap occ NP 5", ["lap occ NP many"], r":\d+: not one of the copied rows: lap occ NP many"),
-    ("ngram order 3", ["ngram order 3", "ngram count 7 a b c d e f g w 1"], r":\d+: ngram count level 7 is outside 0\.\.2"),
-    ("ngram order 3", ["ngram order 3", "ngram count -1 5"], r":\d+: ngram count level -1 is outside 0\.\.2"),
-    ("ctx 2 =DT =NP _ 0 2", ["ctx 2 =DT =NP _ 0 2"] * 2, r":\d+: count below 1 or repeated count row: ctx 2 =DT =NP _ 0 2"),
-    ("ctx 0 =DT 0 2", ["ctx 0 =DT 0 2"] * 2, r":\d+: repeated row"),
-    ("ngram count 1 <s> Spot 3", ["ngram count 1 <s> Spot 3"] * 2, r":\d+: count below 1 or repeated count row: ngram count 1 <s> Spot 3"),
-    ("lap pw DT the 2", ["lap pw DT the 2"] * 2, r":\d+: repeated row"),
-    ("lap occ NP 5", ["lap occ NP 0"], r":\d+: not one of the copied rows: lap occ NP 0"),
-    ("ctx 2 =DT =NP _ 0 2", ["ctx 2 =DT =NP _ 0 -2"], r":\d+: count below 1 or repeated count row: ctx 2 =DT =NP _ 0 -2"),
-    ("ngram order 3", ["ngram order 3", "ngram cnt 0 Zebra 1"], r":\d+: not one of the copied rows: ngram cnt 0 Zebra 1"),
-    ("ngram order 3", ["ngram order 0"], r":\d+: order must be at least 1"),
-    ("lap k 5", ["lap k -1"], r":\d+: smoothing_k must be nonnegative"),
-    ("rule 2 lex DT the", ["rule 0 lex DT the"], r":\d+: rule DT -> 'the has count 0"),
-    ("cond config 6 5 4", ["cond config -1 5 4"], r":\d+: phrasal_depth must be nonnegative"),
-    ("lap occ NP 5", ["lap occ NP 5 9"], r":\d+: not one of the copied rows: lap occ NP 5 9"),
-    ("rule 2 lex DT the", ["rule 2 lex DT the x"], r":\d+: malformed line: rule 2 lex DT the x"),
-    ("vocab the", ["vocab the extra"], r":\d+: not one of the copied rows: vocab the extra"),
-    ("cond conj CC", ["cond conj CC DT"], r":\d+: not one of the copied rows: cond conj CC DT"),
-    ("norm unk_token <unk>", ["norm unk_token <unk> x"], r":\d+: not one of the copied rows: norm unk_token <unk> x"),
-    ("ctx 2 =DT =NP _ 0 2", ["ctx 2 =DT =NP _ 0 2 7"], r":\d+: malformed line: ctx 2 =DT =NP _ 0 2 7"),
-    ("ngram count 1 <s> Spot 3", ["ngram count 1 <s> Spot 3 1"], r":\d+: malformed line: ngram count 1 <s> Spot 3 1"),
-    ("head TOP left", ["head TOP rigth"], r":\d+: not one of the copied rows: head TOP rigth"),
-    ("lap occ NP 5", ["lap occ NP 6"], r":\d+: not one of the copied rows: lap occ NP 6"),
-    ("lap pw DT the 2", ["lap pw DT the 3"], r":\d+: not one of the copied rows: lap pw DT the 3"),
-    ("lap eps NP-NN 3", [], r": missing row: lap eps NP-NN 3"),
-    ("lap fw NP the 2", [], r":\d+: lap fw counts of NP sum to 3, not 5 \(lap occ less lap eps\)"),
-    ("norm end_token </s>", ["norm end_token </s>", "norm bogus 1"], r":\d+: not one of the copied rows: norm bogus 1"),
-    ("grammar start TOP", ["grammar foo TOP"], r":\d+: not one of the copied rows: grammar foo TOP"),
-    ("clam left 1 2 0.6184705764424331", ["clam left 1 2 5.0"], r":\d+: interpolation weight 5\.0 is not in \[0, 1\)"),
-    ("clam left 1 2 0.6184705764424331", ["clam left 1 2 inf"], r":\d+: interpolation weight inf is not in \[0, 1\)"),
-    ("clam left 1 2 0.6184705764424331", ["clam left 1 2 nan"], r":\d+: interpolation weight nan is not in \[0, 1\)"),
-    ("clam left 1 2 0.6184705764424331", ["clam left 1 2 -3.0"], r":\d+: interpolation weight -3\.0 is not in \[0, 1\)"),
-    ("clam left 1 2 0.6184705764424331", ["clam left 1 2 1.0"], r":\d+: interpolation weight 1\.0 is not in \[0, 1\)"),
-    ("clam left 1 2 0.6184705764424331", ["clam left 1 2 half"], r":\d+: malformed line: clam left 1 2 half"),
-    ("clam left 1 2 0.6184705764424331", ["clam lfet 1 2 0.5"], r":\d+: unknown clam path 'lfet'"),
-    ("clam left 1 2 0.6184705764424331", ["clam left 1 2 0.6184705764424331", "clam left 1 2 0.5"], r":\d+: repeated interpolation weight row"),
-    ("ngram lam 1 2 0.999999", ["ngram lam 1 2 5.0"], r":\d+: interpolation weight 5\.0 is not in \[0, 1\)"),
-    ("ngram lam 1 2 0.999999", ["ngram lam 1 2 inf"], r":\d+: interpolation weight inf is not in \[0, 1\)"),
-    ("ngram lam 1 2 0.999999", ["ngram lam 1 2 nan"], r":\d+: interpolation weight nan is not in \[0, 1\)"),
-    ("ngram lam 1 2 0.999999", ["ngram lam 1 2 -3.0"], r":\d+: interpolation weight -3\.0 is not in \[0, 1\)"),
-    ("ngram lam 1 2 0.999999", ["ngram lam 1 2 0.999999"] * 2, r":\d+: repeated interpolation weight row"),
-    # weight keys a path or the n-gram order never reads
-    ("clam left 1 1 0.999999", ["clam left 1 1 0.999999", "clam left 9 9 0.5"], r":\d+: clam level 9 is outside 1\.\.6"),
-    ("clam left 1 1 0.999999", ["clam left 1 1 0.999999", "clam right 0 3 0.5"], r":\d+: clam level 0 is outside 1\.\.4"),
-    ("clam left 1 1 0.999999", ["clam left 1 1 0.999999", "clam middle 1 7 0.5"], r":\d+: clam bucket 7 is outside 0\.\.5"),
-    ("ngram lam 1 2 0.999999", ["ngram lam 1 2 0.999999", "ngram lam 3 1 0.5"], r":\d+: ngram lam level 3 is outside 1\.\.2"),
-    ("ngram lam 1 2 0.999999", ["ngram lam 1 2 0.999999", "ngram lam 0 1 0.5"], r":\d+: ngram lam level 0 is outside 1\.\.2"),
-    # the fixed protocol rows
-    ("head NP right NN NNP NNPS NNS NX POS JJR N NP PRP CD JJ", ["head NP left DT"], r":\d+: not one of the copied rows: head NP left DT"),
-    ("norm end_token </s>", ["norm end_token <end>"], r":\d+: not one of the copied rows: norm end_token <end>"),
-    ("cond conj CC", ["cond conj DT"], r":\d+: not one of the copied rows: cond conj DT"),
-    ("grammar start TOP", ["grammar start NP-DT"], r":\d+: not one of the copied rows: grammar start NP-DT"),
-    ("grammar start TOP", ["grammar start TOP", "grammar start S"], r":\d+: not one of the copied rows: grammar start S"),
-    ("head S left VP S SBAR SINV ADJP UCP NP", [], r": missing row: head S left VP S SBAR SINV ADJP UCP NP"),
-    ("norm punct_label .", [], r": missing row: norm punct_label \."),
-    ("norm punct_label .", ["norm punct_label ."] * 2, r":\d+: repeated row"),
-    ("head TOP left", ["head TOP left"] * 2, r":\d+: repeated row"),
-    # records a model file holds once
-    ("norm strip_punctuation 1", ["norm strip_punctuation 1", "norm strip_punctuation 0"], r":\d+: repeated row"),
-    ("norm vocab_cap 10000", ["norm vocab_cap 10000"] * 2, r":\d+: repeated row"),
-    ("cond config 6 5 4", ["cond config 6 5 4"] * 2, r":\d+: repeated row"),
-    ("lap k 5", ["lap k 5", "lap k 50"], r":\d+: repeated row"),
-    ("ngram order 3", ["ngram order 3"] * 2, r":\d+: repeated row"),
-    ("rule 2 lex DT the", ["rule 2 lex DT the", "rule 3 lex DT the"], r":\d+: repeated row"),
-    ("vocab the", ["vocab the"] * 2, r":\d+: repeated row"),
-    ("lap k 5", [], r": missing row: lap k"),
-    ("cond config 6 5 4", ["cond config 7 5 4"], r":\d+: phrasal_depth 7 is above its path's maximum 6"),
-    # copies of the grammar's words and counts
-    ("vocab Spot", [], r": missing row: vocab Spot"),
-    ("vocab Spot", ["vocab Spot", "vocab Rex"], r":\d+: not one of the copied rows: vocab Rex"),
-    ("ctx 1 =NP =S 4 1", ["ctx 1 =NP =S 4 100"], r":\d+: ctx 1 =NP =S counts sum to 103, not the 4 of its level-2 rows"),
-    ("ngram count 1 Spot ran 2", ["ngram count 1 Spot ran 50"], r":\d+: ngram count 1 Spot counts sum to 51, not the 3 of its level-2 rows"),
-    ("ngram count 0 ran 3", ["ngram count 0 ran 30"], r":\d+: not one of the copied rows: ngram count 0 ran 30"),
-    ("ngram count 0 ran 3", [], r": missing row: ngram count 0 ran 3"),
-    ("ngram order 3", ["ngram order 3", "ngram count 2 Spot Rex ran 1"], r":\d+: ngram count 2 Spot Rex has no level-1 row to refine"),
-    ("ctx 4 =NN =NP =DT =the =chased 2 1", ["ctx 4 =NN =NP =DT =the =chased 2 1", "ctx 5 =NN =NP =DT =the =chased _ 2 5"],
-     r":\d+: ctx 4 =NN =NP =DT =the =chased counts sum to 1, below the 5 of its level-5 rows"),
-    ("ctx 4 =NN =NP =DT =the =chased 2 1", ["ctx 4 =NN =NP =DT =the =chased 2 1", "ctx 5 =NN =NP =DT =the =chased _ 2 1"],
-     r":\d+: ctx 5 =NN =NP =DT =the =chased _ is deeper than its path's depth, so no score reads it"),
-    ("ctx 5 =NN =NP _ =S _ _ 1 3", ["ctx 5 =NN =NP _ =S _ _ 1 3", "ctx 6 =NN =NP _ =S _ _ _ 1 3"],
-     r":\d+: ctx 6 =NN =NP _ =S _ _ _ is deeper than its path's depth, so no score reads it"),
-    # rows that name a word, tag or symbol the grammar lacks
-    ("lap fw NP Spot 3", ["lap fw NP Zzz 3"], r":\d+: lap fw NP Zzz: Zzz is not a grammar word"),
-    ("lap fp NP NN 3", ["lap fp NP QQ 3"], r":\d+: lap fp NP QQ: QQ is not a preterminal"),
-    ("ctx 4 =NN =NP =DT =the =chased 2 1", ["ctx 4 =NN =NP =DT =the =Zzz 2 1"],
-     r":\d+: ctx 4 =NN =NP =DT =the =Zzz: Zzz is not a grammar symbol or word"),
-    # a level is routed by its value: a level written 00 is a copied level-0 row
-    ("ctx 0 =DT 0 2", ["ctx 00 =DT 0 2"], r":\d+: not one of the copied rows: ctx 00 =DT 0 2"),
-    ("ngram count 0 ran 3", ["ngram count 00 ran 3"], r":\d+: not one of the copied rows: ngram count 00 ran 3"),
-    # values read from one row name that row
-    ("norm strip_punctuation 1", ["norm strip_punctuation 2"], r":\d+: norm field 'strip_punctuation' must be 0 or 1"),
-    ("norm vocab_cap 10000", ["norm vocab_cap ten"], r":\d+: norm field 'vocab_cap' must be an integer"),
-    ("norm vocab_cap 10000", ["norm vocab_cap 0"], r":\d+: vocab_cap must be at least 1"),
-    ("ctx 1 =NP =S 4 1", ["ctx 1 =NP =S 999 1"], r":\d+: ctx record for rule 999 at level 1 is out of range"),
-    ("ctx 1 =NP =S 4 1", ["ctx 1 =NP =S 0 1"], r":\d+: ctx record for rule 0 at level 1 does not expand NP"),
-]
-
-
-def _edit_id(line: str, replacement: list[str]) -> str:
-    """A case's id names its edit, not its message, so rewording a message renames no case."""
-    if not replacement:
-        return f"no {line}"
-    if len(replacement) == 2 and replacement[0] == line:
-        return f"extra {replacement[1]}"
-    (other,) = replacement
-    return f"{other} instead of {line}"
-
-
 @pytest.mark.parametrize(
     "line, replacement, message",
-    BAD_MODEL_EDITS,
-    ids=[_edit_id(line, replacement) for line, replacement, _ in BAD_MODEL_EDITS],
+    [
+        ("lap occ NP 5", ["lap occ NP"], r":\d+: not one of the copied rows: lap occ NP"),
+        ("lap occ NP 5", ["lap occ NP many"], r":\d+: not one of the copied rows: lap occ NP many"),
+        ("ngram order 3", ["ngram order 3", "ngram count 7 a b c d e f g w 1"], r":\d+: ngram count level 7 is outside 0\.\.2"),
+        ("ngram order 3", ["ngram order 3", "ngram count -1 5"], r":\d+: ngram count level -1 is outside 0\.\.2"),
+        ("ctx 2 =DT =NP _ 0 2", ["ctx 2 =DT =NP _ 0 2"] * 2, r":\d+: count below 1 or repeated count row: ctx 2 =DT =NP _ 0 2"),
+        ("ctx 0 =DT 0 2", ["ctx 0 =DT 0 2"] * 2, r":\d+: repeated row"),
+        ("ngram count 1 <s> Spot 3", ["ngram count 1 <s> Spot 3"] * 2, r":\d+: count below 1 or repeated count row: ngram count 1 <s> Spot 3"),
+        ("lap pw DT the 2", ["lap pw DT the 2"] * 2, r":\d+: repeated row"),
+        ("lap occ NP 5", ["lap occ NP 0"], r":\d+: not one of the copied rows: lap occ NP 0"),
+        ("ctx 2 =DT =NP _ 0 2", ["ctx 2 =DT =NP _ 0 -2"], r":\d+: count below 1 or repeated count row: ctx 2 =DT =NP _ 0 -2"),
+        ("ngram order 3", ["ngram order 3", "ngram cnt 0 Zebra 1"], r":\d+: not one of the copied rows: ngram cnt 0 Zebra 1"),
+        ("ngram order 3", ["ngram order 0"], r":\d+: order must be at least 1"),
+        ("lap k 5", ["lap k -1"], r":\d+: smoothing_k must be nonnegative"),
+        ("rule 2 lex DT the", ["rule 0 lex DT the"], r":\d+: rule DT -> 'the has count 0"),
+        ("cond config 6 5 4", ["cond config -1 5 4"], r":\d+: phrasal_depth must be nonnegative"),
+        ("lap occ NP 5", ["lap occ NP 5 9"], r":\d+: not one of the copied rows: lap occ NP 5 9"),
+        ("rule 2 lex DT the", ["rule 2 lex DT the x"], r":\d+: malformed line: rule 2 lex DT the x"),
+        ("vocab the", ["vocab the extra"], r":\d+: not one of the copied rows: vocab the extra"),
+        ("cond conj CC", ["cond conj CC DT"], r":\d+: not one of the copied rows: cond conj CC DT"),
+        ("norm unk_token <unk>", ["norm unk_token <unk> x"], r":\d+: not one of the copied rows: norm unk_token <unk> x"),
+        ("ctx 2 =DT =NP _ 0 2", ["ctx 2 =DT =NP _ 0 2 7"], r":\d+: malformed line: ctx 2 =DT =NP _ 0 2 7"),
+        ("ngram count 1 <s> Spot 3", ["ngram count 1 <s> Spot 3 1"], r":\d+: malformed line: ngram count 1 <s> Spot 3 1"),
+        ("head TOP left", ["head TOP rigth"], r":\d+: not one of the copied rows: head TOP rigth"),
+        ("lap occ NP 5", ["lap occ NP 6"], r":\d+: not one of the copied rows: lap occ NP 6"),
+        ("lap pw DT the 2", ["lap pw DT the 3"], r":\d+: not one of the copied rows: lap pw DT the 3"),
+        ("lap eps NP-NN 3", [], r": missing row: lap eps NP-NN 3"),
+        ("lap fw NP the 2", [], r":\d+: lap fw counts of NP sum to 3, not 5 \(lap occ less lap eps\)"),
+        ("norm end_token </s>", ["norm end_token </s>", "norm bogus 1"], r":\d+: not one of the copied rows: norm bogus 1"),
+        ("grammar start TOP", ["grammar foo TOP"], r":\d+: not one of the copied rows: grammar foo TOP"),
+        ("clam left 1 2 0.6184705764424331", ["clam left 1 2 5.0"], r":\d+: interpolation weight 5\.0 is not in \[0, 1\)"),
+        ("clam left 1 2 0.6184705764424331", ["clam left 1 2 inf"], r":\d+: interpolation weight inf is not in \[0, 1\)"),
+        ("clam left 1 2 0.6184705764424331", ["clam left 1 2 nan"], r":\d+: interpolation weight nan is not in \[0, 1\)"),
+        ("clam left 1 2 0.6184705764424331", ["clam left 1 2 -3.0"], r":\d+: interpolation weight -3\.0 is not in \[0, 1\)"),
+        ("clam left 1 2 0.6184705764424331", ["clam left 1 2 1.0"], r":\d+: interpolation weight 1\.0 is not in \[0, 1\)"),
+        ("clam left 1 2 0.6184705764424331", ["clam left 1 2 half"], r":\d+: malformed line: clam left 1 2 half"),
+        ("clam left 1 2 0.6184705764424331", ["clam lfet 1 2 0.5"], r":\d+: unknown clam path 'lfet'"),
+        ("clam left 1 2 0.6184705764424331", ["clam left 1 2 0.6184705764424331", "clam left 1 2 0.5"], r":\d+: repeated interpolation weight row"),
+        ("ngram lam 1 2 0.999999", ["ngram lam 1 2 5.0"], r":\d+: interpolation weight 5\.0 is not in \[0, 1\)"),
+        ("ngram lam 1 2 0.999999", ["ngram lam 1 2 inf"], r":\d+: interpolation weight inf is not in \[0, 1\)"),
+        ("ngram lam 1 2 0.999999", ["ngram lam 1 2 nan"], r":\d+: interpolation weight nan is not in \[0, 1\)"),
+        ("ngram lam 1 2 0.999999", ["ngram lam 1 2 -3.0"], r":\d+: interpolation weight -3\.0 is not in \[0, 1\)"),
+        ("ngram lam 1 2 0.999999", ["ngram lam 1 2 0.999999"] * 2, r":\d+: repeated interpolation weight row"),
+        # weight keys a path or the n-gram order never reads
+        ("clam left 1 1 0.999999", ["clam left 1 1 0.999999", "clam left 9 9 0.5"], r":\d+: clam level 9 is outside 1\.\.6"),
+        ("clam left 1 1 0.999999", ["clam left 1 1 0.999999", "clam right 0 3 0.5"], r":\d+: clam level 0 is outside 1\.\.4"),
+        ("clam left 1 1 0.999999", ["clam left 1 1 0.999999", "clam middle 1 7 0.5"], r":\d+: clam bucket 7 is outside 0\.\.5"),
+        ("ngram lam 1 2 0.999999", ["ngram lam 1 2 0.999999", "ngram lam 3 1 0.5"], r":\d+: ngram lam level 3 is outside 1\.\.2"),
+        ("ngram lam 1 2 0.999999", ["ngram lam 1 2 0.999999", "ngram lam 0 1 0.5"], r":\d+: ngram lam level 0 is outside 1\.\.2"),
+        # the fixed protocol rows
+        ("head NP right NN NNP NNPS NNS NX POS JJR N NP PRP CD JJ", ["head NP left DT"], r":\d+: not one of the copied rows: head NP left DT"),
+        ("norm end_token </s>", ["norm end_token <end>"], r":\d+: not one of the copied rows: norm end_token <end>"),
+        ("cond conj CC", ["cond conj DT"], r":\d+: not one of the copied rows: cond conj DT"),
+        ("head S left VP S SBAR SINV ADJP UCP NP", [], r": missing row: head S left VP S SBAR SINV ADJP UCP NP"),
+        ("norm punct_label .", [], r": missing row: norm punct_label \."),
+        ("norm punct_label .", ["norm punct_label ."] * 2, r":\d+: repeated row"),
+        ("head TOP left", ["head TOP left"] * 2, r":\d+: repeated row"),
+        # records a model file holds once
+        ("norm strip_punctuation 1", ["norm strip_punctuation 1", "norm strip_punctuation 0"], r":\d+: repeated row"),
+        ("norm vocab_cap 10000", ["norm vocab_cap 10000"] * 2, r":\d+: repeated row"),
+        ("grammar start TOP", ["grammar start TOP", "grammar start S"], r":\d+: not one of the copied rows: grammar start S"),
+        ("cond config 6 5 4", ["cond config 6 5 4"] * 2, r":\d+: repeated row"),
+        ("lap k 5", ["lap k 5", "lap k 50"], r":\d+: repeated row"),
+        ("ngram order 3", ["ngram order 3"] * 2, r":\d+: repeated row"),
+        ("rule 2 lex DT the", ["rule 2 lex DT the", "rule 3 lex DT the"], r":\d+: repeated row"),
+        ("vocab the", ["vocab the"] * 2, r":\d+: repeated row"),
+        ("lap k 5", [], r": missing row: lap k"),
+        ("cond config 6 5 4", ["cond config 7 5 4"], r":\d+: phrasal_depth 7 is above its path's maximum 6"),
+        # copies of the grammar's words and counts
+        ("vocab Spot", [], r": missing row: vocab Spot"),
+        ("vocab Spot", ["vocab Spot", "vocab Rex"], r":\d+: not one of the copied rows: vocab Rex"),
+        ("ctx 1 =NP =S 4 1", ["ctx 1 =NP =S 4 100"], r":\d+: ctx 1 =NP =S counts sum to 103, not the 4 of its level-2 rows"),
+        ("ngram count 1 Spot ran 2", ["ngram count 1 Spot ran 50"], r":\d+: ngram count 1 Spot counts sum to 51, not the 3 of its level-2 rows"),
+        ("ngram count 0 ran 3", ["ngram count 0 ran 30"], r":\d+: not one of the copied rows: ngram count 0 ran 30"),
+        ("ngram count 0 ran 3", [], r": missing row: ngram count 0 ran 3"),
+        ("ngram order 3", ["ngram order 3", "ngram count 2 Spot Rex ran 1"], r":\d+: ngram count 2 Spot Rex has no level-1 row to refine"),
+        ("ctx 4 =NN =NP =DT =the =chased 2 1", ["ctx 4 =NN =NP =DT =the =chased 2 1", "ctx 5 =NN =NP =DT =the =chased _ 2 5"],
+         r":\d+: ctx 4 =NN =NP =DT =the =chased counts sum to 1, below the 5 of its level-5 rows"),
+        ("ctx 4 =NN =NP =DT =the =chased 2 1", ["ctx 4 =NN =NP =DT =the =chased 2 1", "ctx 5 =NN =NP =DT =the =chased _ 2 1"],
+         r":\d+: ctx 5 =NN =NP =DT =the =chased _ is deeper than its path's depth, so no score reads it"),
+        ("ctx 5 =NN =NP _ =S _ _ 1 3", ["ctx 5 =NN =NP _ =S _ _ 1 3", "ctx 6 =NN =NP _ =S _ _ _ 1 3"],
+         r":\d+: ctx 6 =NN =NP _ =S _ _ _ is deeper than its path's depth, so no score reads it"),
+        # rows that name a word, tag or symbol the grammar lacks
+        ("lap fw NP Spot 3", ["lap fw NP Zzz 3"], r":\d+: lap fw NP Zzz: Zzz is not a grammar word"),
+        ("lap fp NP NN 3", ["lap fp NP QQ 3"], r":\d+: lap fp NP QQ: QQ is not a preterminal"),
+        ("ctx 4 =NN =NP =DT =the =chased 2 1", ["ctx 4 =NN =NP =DT =the =Zzz 2 1"],
+         r":\d+: ctx 4 =NN =NP =DT =the =Zzz: Zzz is not a grammar symbol or word"),
+        # a level is routed by its value: a level written 00 is a copied level-0 row
+        ("ctx 0 =DT 0 2", ["ctx 00 =DT 0 2"], r":\d+: not one of the copied rows: ctx 00 =DT 0 2"),
+        ("ngram count 0 ran 3", ["ngram count 00 ran 3"], r":\d+: not one of the copied rows: ngram count 00 ran 3"),
+        # values read from one row name that row
+        ("norm strip_punctuation 1", ["norm strip_punctuation 2"], r":\d+: norm field 'strip_punctuation' must be 0 or 1"),
+        ("norm vocab_cap 10000", ["norm vocab_cap ten"], r":\d+: norm field 'vocab_cap' must be an integer"),
+        ("norm vocab_cap 10000", ["norm vocab_cap 0"], r":\d+: vocab_cap must be at least 1"),
+        ("ctx 1 =NP =S 4 1", ["ctx 1 =NP =S 999 1"], r":\d+: ctx record for rule 999 at level 1 is out of range"),
+        ("ctx 1 =NP =S 4 1", ["ctx 1 =NP =S 0 1"], r":\d+: ctx record for rule 0 at level 1 does not expand NP"),
+        # the start symbol is fixed
+        ("grammar start TOP", ["grammar start NP-DT"], r":\d+: not one of the copied rows: grammar start NP-DT"),
+    ],
 )
 def test_parse_names_file_of_bad_model(g1_model_path, tmp_path, capsys, line, replacement, message):
     lines = g1_model_path.read_text().splitlines()
