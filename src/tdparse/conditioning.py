@@ -14,6 +14,22 @@ finished tree it extends shares it.  That is safe because a ``Tree`` is
 never changed: ``_hash`` and ``_head`` only cache what its label and
 children determine.
 
+Each spine node also carries its *state*, a ``ContextState``: everything
+the schedules below read of the node and the tree to its left, worked
+out when the node is built.  A step finds the next state through a
+memoized transition, one dict read on a hit: opening a constituent is
+keyed by (state, label), attaching a completed child by (state, child
+key), and the child key is the child's label, first-child label and
+head.  The lexical step computes its key once per rule, the close step
+at close time: a closed constituent's head is its first best-ranked
+child in scan order, while the open head so far is the last.  States are
+interned, so equal contexts are one object that hashes
+by identity, and reading the values of an expansion is a read of one
+state.  States and transitions share one table of at most
+STATE_CACHE_CAP entries, dropped whole when full.  A state refers to no
+other state, so a drop frees every state that no live spine holds, and
+the same context met again gets a new, equal state.
+
 From the spine we read off one fixed schedule of conditioning values for
 the expansion of a left-hand side A, and cut it after the configured
 depth of its path.  Which schedule applies depends on where A sits:
@@ -40,12 +56,15 @@ The head percolation rules (HEAD_TABLE) and the conjunction label
 
 A score depends on the site (path, values) alone, and a parse meets a
 few hundred sites in tens of thousands of pops.  So each model keeps, in
-``site_scores``, one scoring function per site, keyed by (path, values),
-and each function keeps the log probability of every rule id it has
-scored.  Every write through ``add`` and every assignment to ``lambdas``
-empties ``site_scores``; a write straight into ``tables``, ``totals`` or
-the weight dict does not, so make those before the first score.  The
-dict holds at most SITE_CACHE_CAP sites and is dropped whole when full:
+``site_scores``, one scoring function per site, and each function keeps
+the log probability of every rule id it has scored.  A pop looks its
+function up by (state, lhs).  On a miss the values are extracted and the
+site's function, found under (path, values) or built, is stored under
+both keys, so all the states that reach one site share its function.
+Every write through ``add`` and every assignment to ``lambdas`` empties
+``site_scores``; a write straight into ``tables``, ``totals`` or the
+weight dict does not, so make those before the first score.  The dict
+holds at most SITE_CACHE_CAP entries and is dropped whole when full:
 sites carry head words, so their number grows with the vocabulary.  The
 n-gram model keeps one estimator per history in its own ``site_scores``
 on the same terms (see langmodel.py).
@@ -76,9 +95,16 @@ BUCKET_EDGES = (1, 2, 5, 10, 100)
 # bucket; keep a sliver of backoff so unseen events never get probability 0.
 LAMBDA_CAP = 1.0 - 1e-6
 
-# Most sites a model keeps scoring functions for: about 25 times the 650 or
-# so that one pass of the benchmark's 3,000-noun lexicon workload meets.
+# Most entries a model keeps scoring functions under: about 6 times the
+# 2,800 or so that one pass of the benchmark's 3,000-noun lexicon workload
+# adds, (state, lhs) keys and their 650 or so sites together.
 SITE_CACHE_CAP = 2**14
+
+# Most entries, states and transitions together, the state table keeps:
+# about 4.5 times the 3,600 or so that one pass of the benchmark's desk
+# workload adds.  A warm pass adds none, and every state is an object the
+# garbage collector traverses, so the cap stays near the working set.
+STATE_CACHE_CAP = 2**14
 
 
 class ConditioningError(ValueError):
@@ -285,15 +311,114 @@ class CondConfig:
         return max(self.phrasal_depth, self.first_pos_depth, self.later_pos_depth)
 
 
+class ContextState:
+    """What the conditioning reads of one open constituent and the tree to its left.
+
+    ``node`` is (label, label of the last child, parent label, label of
+    the parent's last child, conjunction peek) and ``up`` the same tuple
+    for the parent (all None above the root).  ``last_first`` is the
+    first-child label of the last child, ``last_head`` the (token, POS)
+    head of the last completed subtree from this constituent upward and
+    ``prev_word`` the head word of the subtree before that, in the order
+    the c-commanding heads are read.  ``head`` and ``rank`` are the head
+    word of the constituent so far and its rank in the head rules.
+
+    States are interned (see ``_intern``), so equal contexts are one
+    object and hash by identity.
+    """
+
+    __slots__ = ("node", "up", "last_first", "last_head", "prev_word", "head", "rank")
+
+    def __init__(self, node, up, last_first, last_head, prev_word, head, rank):
+        self.node = node
+        self.up = up
+        self.last_first = last_first
+        self.last_head = last_head
+        self.prev_word = prev_word
+        self.head = head
+        self.rank = rank
+
+    def opened(self, label: str) -> tuple:
+        """The fields of a new constituent ``label`` opened under this one."""
+        node = self.node
+        return (label, None, node[0], node[1], None), node, None, self.last_head, self.prev_word, None, None
+
+    def attached(self, label: str, first: Optional[str], head: tuple[str, str]) -> tuple:
+        """The fields of this constituent after a completed child ``label`` attaches.
+
+        ``first`` is the child's first-child label and ``head`` its head.
+        The open head is the last child of the best rank seen so far.
+        """
+        node = self.node
+        ranks = HEAD_RANKS.get(node[0], HEAD_FALLBACK)[1]
+        rank = ranks.get(label, len(ranks))
+        word = head[0]
+        if self.rank is not None and self.rank < rank:
+            word, rank = self.head, self.rank
+        conj = self.last_first if label == CONJ_LABEL else None
+        prev = self.last_head[0] if self.last_head is not None else None
+        return (node[0], label, node[2], node[3], conj), self.up, first, head, prev, word, rank
+
+
+# The context of the empty spine, before the root opens.
+ROOT = ContextState((None,) * 5, (None,) * 5, None, None, None, None, None)
+
+# The state table: each state's fields -> the state, and each transition,
+# (state, label) for an opened constituent and (state, child key) for an
+# attached child, -> the state it leads to.  See the module docstring.
+_STATES: dict[tuple, ContextState] = {}
+
+
+def _intern(transition: tuple, fields: tuple) -> ContextState:
+    """Keep the state with these fields and the transition to it, dropping the table first when full."""
+    if len(_STATES) + 2 > STATE_CACHE_CAP:
+        _STATES.clear()
+    state = _STATES.get(fields)
+    if state is None:
+        state = _STATES[fields] = ContextState(*fields)
+    _STATES[transition] = state
+    return state
+
+
+def open_state(state: ContextState, label: str) -> ContextState:
+    """The state of a constituent ``label`` opened under one in ``state``."""
+    return _STATES.get((state, label)) or _intern((state, label), state.opened(label))
+
+
+def attach_state(state: ContextState, key: tuple) -> ContextState:
+    """``state`` after a completed child with this ``child_key`` attaches."""
+    return _STATES.get((state, key)) or _intern((state, key), state.attached(*key))
+
+
+def child_key(t: Tree) -> tuple:
+    """(label, first-child label, head) of a completed subtree: what attaching it reads."""
+    return t.label, t.children[0].label if t.children else None, head_of(t)
+
+
 class SpineNode:
-    """One open constituent: its label, completed children, and parent."""
+    """One open constituent: its label, completed children, parent and context state.
 
-    __slots__ = ("label", "children", "parent")
+    Spine steps pass the state; without one it is worked out from the
+    parent's by opening the label and attaching each child in turn.
+    """
 
-    def __init__(self, label: str, children: tuple[Tree, ...], parent: Optional["SpineNode"]):
+    __slots__ = ("label", "children", "parent", "state")
+
+    def __init__(
+        self,
+        label: str,
+        children: tuple[Tree, ...],
+        parent: Optional["SpineNode"],
+        state: Optional[ContextState] = None,
+    ):
         self.label = label
         self.children = children
         self.parent = parent
+        if state is None:
+            state = open_state(ROOT if parent is None else parent.state, label)
+            for child in children:
+                state = attach_state(state, child_key(child))
+        self.state = state
 
 
 def spine_step(rule: Rule) -> Callable[[Optional[SpineNode]], tuple[Optional[SpineNode], Optional[Tree]]]:
@@ -304,12 +429,13 @@ def spine_step(rule: Rule) -> Callable[[Optional[SpineNode]], tuple[Optional[Spi
     """
     if rule.lexical:
         t = Tree(rule.lhs, (Tree(rule.rhs[0]),))
+        key = child_key(t)
 
         def attach(spine):
             if spine is None:
                 # The whole derivation was a single preterminal.
                 return None, t
-            return SpineNode(spine.label, spine.children + (t,), spine.parent), None
+            return SpineNode(spine.label, spine.children + (t,), spine.parent, attach_state(spine.state, key)), None
 
         return attach
     if not rule.rhs:
@@ -319,7 +445,12 @@ def spine_step(rule: Rule) -> Callable[[Optional[SpineNode]], tuple[Optional[Spi
         # when it is itself expanded.
         return lambda spine: (spine, None)
     label = rule.lhs
-    return lambda spine: (SpineNode(label, (), spine), None)
+
+    def open_(spine):
+        state = open_state(ROOT if spine is None else spine.state, label)
+        return SpineNode(label, (), spine, state), None
+
+    return open_
 
 
 def _close(spine: SpineNode) -> tuple[Optional[SpineNode], Optional[Tree]]:
@@ -327,7 +458,10 @@ def _close(spine: SpineNode) -> tuple[Optional[SpineNode], Optional[Tree]]:
     parent = spine.parent
     if parent is None:
         return None, t
-    return SpineNode(parent.label, parent.children + (t,), parent.parent), None
+    # The closed head takes the first best-ranked child in scan order, not
+    # the open head's last, so ``child_key`` works it out now.
+    state = attach_state(parent.state, child_key(t))
+    return SpineNode(parent.label, parent.children + (t,), parent.parent, state), None
 
 
 def apply_rule(spine: Optional[SpineNode], rule: Rule) -> tuple[Optional[SpineNode], Optional[Tree]]:
@@ -371,24 +505,9 @@ def head_of(t: Tree) -> tuple[str, str]:
 
 
 def head_child(label: str, children: tuple[Tree, ...]) -> Tree:
+    """The child of the best-ranked label, the first of them in the label's scan direction."""
     direction, ranks = HEAD_RANKS.get(label, HEAD_FALLBACK)
-    return _best_ranked(children if direction == "left" else children[::-1], ranks)
-
-
-def open_constituent_head(label: str, children: tuple[Tree, ...]) -> Optional[tuple[str, str]]:
-    """Head of a constituent still being built.
-
-    If the percolation priorities match one of the children seen so far,
-    that child's head counts as already seen; otherwise the last built
-    child stands proxy.  No children yet means no head.
-    """
-    if not children:
-        return None
-    return head_of(_best_ranked(children[::-1], HEAD_RANKS.get(label, HEAD_FALLBACK)[1]))
-
-
-def _best_ranked(ordered: tuple[Tree, ...], ranks: dict[str, int]) -> Tree:
-    """The child of the best-ranked label, the first of them in ``ordered``; else ``ordered[0]``."""
+    ordered = children if direction == "left" else children[::-1]
     best = ordered[0]
     top = len(ranks)
     for child in ordered:
@@ -398,13 +517,6 @@ def _best_ranked(ordered: tuple[Tree, ...], ranks: dict[str, int]) -> Tree:
     return best
 
 
-def _last_completed(node: Optional[SpineNode]) -> Optional[Tree]:
-    """The last completed child of the nearest spine node, from ``node`` up, that has one."""
-    while node is not None and not node.children:
-        node = node.parent
-    return node.children[-1] if node is not None else None
-
-
 class ContextModel(InterpolationTable):
     """Count tables over conditioning-value prefixes, weights tied by path."""
 
@@ -412,7 +524,7 @@ class ContextModel(InterpolationTable):
         super().__init__(config.max_depth + 1)
         self.grammar = grammar
         self.config = config
-        # Every score reads these, and the config is frozen: work them out once.
+        # Every extraction reads the cuts, and the config is frozen: work them out once.
         self.max_depth = config.max_depth
         self._cut = {path: config.depth_for(path) + 1 for path in PATH_MAX}
 
@@ -423,46 +535,27 @@ class ContextModel(InterpolationTable):
 
         Returns (path, values): the path's full schedule, cut off after the
         configured depth.  values[0] is always the lhs itself; missing
-        structure shows up as None, never as a shorter tuple.
+        structure shows up as None, never as a shorter tuple.  Every value
+        is read from the spine's state.
         """
-        if FACTOR_SEP in lhs:
-            # Continuing an open constituent: its children so far are within it.
-            parent_spine = spine.parent
-            within = spine.children
-        else:
-            parent_spine = spine
-            within = ()
-        if parent_spine is not None:
-            siblings = parent_spine.children
-            parent = parent_spine.label
-            grand = parent_spine.parent
-        else:
-            siblings, parent, grand = (), None, None
-        y_s = siblings[-1].label if siblings else None
-        grand_label = grand.label if grand is not None else None
+        state = ROOT if spine is None else spine.state
         if lhs not in self.grammar.preterminals:
-            psibs = grand.children if grand is not None else ()
-            conj = None
-            if y_s == CONJ_LABEL and len(siblings) >= 2 and siblings[-2].children:
-                conj = siblings[-2].children[0].label
-            head = open_constituent_head(lhs.partition(FACTOR_SEP)[0], within) if within else None
-            values = (lhs, parent, y_s, grand_label, psibs[-1].label if psibs else None, conj,
-                      head[0] if head else None)
+            if FACTOR_SEP in lhs:
+                # Continuing an open constituent: its context is its
+                # parent's, and its children so far give the head.
+                values = (lhs, *state.up, state.head)
+            else:
+                values = (lhs, *state.node, None)
             return LEFT, values[: self._cut[LEFT]]
         # A preterminal's label has no factor separator, so its siblings
-        # are the children of ``spine``.  The c-commanding heads, nearest
-        # first, are the heads of those siblings from the last back, then
-        # of the left siblings of each open ancestor up to the root.
+        # are the children of ``spine``.
+        parent, y_s, grand = state.node[:3]
+        last = state.last_head
         if y_s is None:
-            last = _last_completed(spine)
-            if last is None:
-                values = (lhs, parent, None, grand_label, None, None)
-            else:
-                token, pos = head_of(last)
-                values = (lhs, parent, None, grand_label, pos, token)
+            token, pos = last if last is not None else (None, None)
+            values = (lhs, parent, None, grand, pos, token)
             return MIDDLE, values[: self._cut[MIDDLE]]
-        second = siblings[-2] if len(siblings) > 1 else _last_completed(grand)
-        values = (lhs, parent, y_s, head_of(siblings[-1])[0], head_of(second)[0] if second is not None else None)
+        values = (lhs, parent, y_s, last[0], state.prev_word)
         return RIGHT, values[: self._cut[RIGHT]]
 
     def path_depths(self, level: int, key: tuple) -> tuple[int, int]:
@@ -514,7 +607,7 @@ class ContextModel(InterpolationTable):
 
     def tune_mix_weights(self, heldout_trees: Iterable[Tree], max_iter: int = 100, tol: float = 1e-6) -> list[float]:
         """Fit interpolation weights by EM on heldout derivations (see ``fit_weights``)."""
-        if self.config.max_depth == 0:
+        if self.max_depth == 0:
             self.lambdas = {}
             return []
         return self.fit_weights(self._sites(heldout_trees), max_iter, tol)
@@ -533,16 +626,21 @@ class ContextModel(InterpolationTable):
     def scorer(self, spine: Optional[SpineNode], lhs: str) -> Callable[[int], float]:
         """A log-probability function over rule ids for one expansion site.
 
-        The site's function is built on its first call and kept in
-        ``site_scores``; it computes each rule id's log probability once.  With
-        depth 0 there are no levels and the partial tree is never walked.
+        Looked up in ``site_scores`` by (spine state, lhs).  On a miss the
+        values are extracted and the function of their site, (path,
+        values), is built or reused; it computes each rule id's log
+        probability once.
         """
-        site = self.extract_values(spine, lhs) if self.max_depth else (LEFT, (lhs,))
-        score = self.site_scores.get(site)
+        key = (ROOT if spine is None else spine.state, lhs)
+        score = self.site_scores.get(key)
         if score is None:
-            path, values = site
-            prob = self.estimator((path,), values[:1], self._levels(values))
-            score = self.keep_site(site, _LogProbs(prob).__getitem__)
+            site = self.extract_values(spine, lhs)
+            score = self.site_scores.get(site)
+            if score is None:
+                path, values = site
+                prob = self.estimator((path,), values[:1], self._levels(values))
+                score = self.keep_site(site, _LogProbs(prob).__getitem__)
+            self.keep_site(key, score)
         return score
 
     def rule_logprob(self, spine: Optional[SpineNode], rule: Rule) -> float:

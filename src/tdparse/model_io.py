@@ -18,7 +18,7 @@ from .conditioning import (
     BUCKET_EDGES, CONJ_LABEL, HEAD_TABLE, PATH_MAX, CondConfig, ConditioningError, ContextModel, InterpolationTable,
 )
 from .grammar import GrammarError, Pcfg, Rule, induce_pcfg, left_factor_tree
-from .langmodel import NgramModel, sentences_from_trees
+from .langmodel import START_TOKEN, NgramModel, sentences_from_trees
 from .lookahead import LookaheadTables
 from .treebank import (
     AXIOM,
@@ -189,13 +189,16 @@ def _add_weight(weights: dict, key: tuple, text: str, lineno: int) -> None:
 
 def _weights(path: str, record: str, rows: dict, top) -> dict:
     """The weights of (key -> (weight, line)) rows.  Only levels 1..top(key) mix in and
-    buckets run 0..len(BUCKET_EDGES): a weight at any other key would never be read."""
-    for key, (_, lineno) in rows.items():
+    buckets run 0..len(BUCKET_EDGES): a weight at any other key would never be read.
+    Bucket 0 (an unseen key) never mixes in, so EM pins its weight at 0."""
+    for key, (lam, lineno) in rows.items():
         *_, level, bucket = key
         if not 1 <= level <= top(key):
             raise ModelIOError(f"{path}:{lineno}: {record} level {level} is outside 1..{top(key)}")
         if not 0 <= bucket <= len(BUCKET_EDGES):
             raise ModelIOError(f"{path}:{lineno}: {record} bucket {bucket} is outside 0..{len(BUCKET_EDGES)}")
+        if bucket == 0 and lam != 0.0:
+            raise ModelIOError(f"{path}:{lineno}: {record} bucket 0 has weight {lam!r}, not 0")
     return {key: lam for key, (lam, _) in rows.items()}
 
 
@@ -423,6 +426,10 @@ def load_model(path: str) -> ParserModel:
                 elif parts[1] == "count" and (level := int(parts[2])) != 0:
                     _expect_fields(parts, level + 5)
                     ctx = tuple(parts[3 : 3 + level])
+                    # The start token only pads a history, so it comes before every other token.
+                    pads = ctx.count(START_TOKEN)
+                    if ctx[:pads] != (START_TOKEN,) * pads:
+                        raise _BadLine(f"ngram history {' '.join(ctx)} has {START_TOKEN} after another token")
                     ngram_rows.append((lineno, level, ctx, parts[3 + level], int(parts[4 + level])))
                 else:
                     _once(kept, " ".join(parts), lineno)

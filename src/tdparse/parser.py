@@ -32,8 +32,14 @@ built once per parser.  A lexical step attaches one preterminal subtree,
 which analyses and results share: a ``Tree`` is never changed once built.
 The lexical successor is handled first.  That moves no output: it only
 adds a goal, while mid-sentence a phrasal successor only feeds the heap,
-and at the end of input no lexical rule applies.  Rule scores are read
-from the cache that the context model keeps (see conditioning.py).
+and at the end of input no lexical rule applies.
+
+Rule scores are read from the cache that the context model keeps, one
+lookup per pop: every spine node carries the interned state of its
+conditioning context, and the cache is keyed by (state, symbol expanded).
+A spine step finds the state of the node it builds through a memoized
+transition, so neither scoring nor stepping walks the partial tree (see
+conditioning.py).
 
 While words remain, the kernel also drops every analysis whose stack
 cannot derive a string that starts with the current word (a left-corner

@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import random
+from itertools import islice
 from pathlib import Path
 
-from tdparse.conditioning import CondConfig, ContextModel, SpineNode, head_of
+from tdparse.conditioning import CONJ_LABEL, HEAD_TABLE, LEFT, MIDDLE, RIGHT, CondConfig, ContextModel, SpineNode, head_of
 from tdparse.grammar import induce_pcfg, left_factor_tree, split_factored, tree_to_derivation
 from tdparse.lookahead import LookaheadTables
 from tdparse.parser import BeamParser, ParserConfig
@@ -89,6 +90,59 @@ def c_command_heads(spine):
         for sib in reversed(node.children):
             yield head_of(sib)
         node = node.parent
+
+
+def open_constituent_head(label, children):
+    """Head of a constituent still being built, worked out from its children.
+
+    If the head rules' priorities match one of the children seen so far,
+    the last child of the best-ranked label heads it; otherwise the last
+    child stands proxy.  No children yet means no head.
+    """
+    if not children:
+        return None
+    priorities = HEAD_TABLE.get(label, ("left", ()))[1]
+
+    def rank(child):
+        return priorities.index(child.label) if child.label in priorities else len(priorities)
+
+    # min keeps the first of equal ranks, so scan from the last child back.
+    return head_of(min(reversed(children), key=rank))
+
+
+def reference_extract_values(model, spine, lhs):
+    """``extract_values`` as it was before it read the spine's state: it walks
+    the spine's children.  The reference the state-based extraction must match."""
+    base, consumed = split_factored(lhs)
+    if consumed:
+        parent_spine = spine.parent
+        within = spine.children
+    else:
+        parent_spine = spine
+        within = ()
+    siblings = parent_spine.children if parent_spine is not None else ()
+    y_s = siblings[-1].label if siblings else None
+    parent = parent_spine.label if parent_spine is not None else None
+    grand = parent_spine.parent if parent_spine is not None else None
+    grand_label = grand.label if grand is not None else None
+    if lhs not in model.grammar.preterminals:
+        path = LEFT
+        psibs = grand.children if grand is not None else ()
+        conj = None
+        if y_s == CONJ_LABEL and len(siblings) >= 2 and siblings[-2].children:
+            conj = siblings[-2].children[0].label
+        head = open_constituent_head(base, within)
+        values = (lhs, parent, y_s, grand_label, psibs[-1].label if psibs else None, conj,
+                  head[0] if head else None)
+    elif y_s is None:
+        path = MIDDLE
+        first = next(c_command_heads(spine), None)
+        values = (lhs, parent, y_s, grand_label, first[1] if first else None, first[0] if first else None)
+    else:
+        path = RIGHT
+        heads = list(islice(c_command_heads(spine), 2))
+        values = (lhs, parent, y_s, heads[0][0] if heads else None, heads[1][0] if len(heads) > 1 else None)
+    return path, values[: model.config.depth_for(path) + 1]
 
 
 def reference_spines(trees):

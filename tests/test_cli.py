@@ -245,6 +245,11 @@ def test_parse_names_file_and_field_of_bad_norm_value(g1_model_path, tmp_path, c
         ("ctx 1 =NP =S 4 1", ["ctx 1 =NP =S 0 1"], r":\d+: ctx record for rule 0 at level 1 does not expand NP"),
         # the start symbol is fixed
         ("grammar start TOP", ["grammar start NP-DT"], r":\d+: not one of the copied rows: grammar start NP-DT"),
+        # rows a save never writes: a start token inside a history, a bucket-0 weight other than 0
+        ("ngram count 2 <s> <s> the 1", ["ngram count 2 <unk> <s> the 1"], r":\d+: ngram history <unk> <s> has <s> after another token"),
+        ("clam middle 1 3 0.49999999834919095", ["clam middle 1 0 0.49999999834919095"],
+         r":\d+: clam bucket 0 has weight 0\.49999999834919095, not 0"),
+        ("ngram lam 1 2 0.999999", ["ngram lam 1 0 0.999999"], r":\d+: ngram lam bucket 0 has weight 0\.999999, not 0"),
     ],
 )
 def test_parse_names_file_of_bad_model(g1_model_path, tmp_path, capsys, line, replacement, message):

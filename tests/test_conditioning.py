@@ -1,14 +1,15 @@
 import hashlib
 import math
 from functools import partial
-from itertools import islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from support import (
-    as_corpus, c_command_heads, factored_corpus, fixture_trees, random_corpus, reference_apply_rule, reference_spines,
+    as_corpus, c_command_heads, factored_corpus, fixture_trees, open_constituent_head, random_corpus,
+    reference_apply_rule, reference_spines,
 )
+from support import reference_extract_values as _reference_extract_values
 from tdparse.conditioning import (
     CONJ_LABEL,
     HEAD_TABLE,
@@ -26,12 +27,11 @@ from tdparse.conditioning import (
     bucket_of,
     head_child,
     head_of,
-    open_constituent_head,
     replay,
     spine_step,
     tune_interpolation,
 )
-from tdparse.grammar import Rule, induce_pcfg, left_factor_tree, split_factored, tree_to_derivation
+from tdparse.grammar import Rule, induce_pcfg, left_factor_tree, tree_to_derivation
 from tdparse.model_io import prepare_trees, save_model, train_parser_model
 from tdparse.treebank import AXIOM, Tree, augment_with_stop, parse_trees
 
@@ -103,11 +103,15 @@ def test_apply_rule_single_preterminal():
     assert spine is None and done == _pt("STOP", "</s>")
 
 
+def _fields(state):
+    return state.node, state.up, state.last_first, state.last_head, state.prev_word, state.head, state.rank
+
+
 def _chain(spine):
-    """A spine as (label, children) pairs from the node up to the root."""
+    """A spine as (label, children, state fields) from the node up to the root."""
     out = []
     while spine is not None:
-        out.append((spine.label, spine.children))
+        out.append((spine.label, spine.children, _fields(spine.state)))
         spine = spine.parent
     return out
 
@@ -183,11 +187,16 @@ def test_head_percolation():
 
 def test_open_constituent_head():
     assert open_constituent_head("NP", ()) is None
+    assert SpineNode("NP", (), None).state.head is None
     the = _pt("DT", "the")
     cat = _pt("NN", "cat")
     # no priority hit yet: the newest child stands proxy
     assert open_constituent_head("NP", (the,)) == ("the", "DT")
+    assert SpineNode("NP", (the,), None).state.head == "the"
     assert open_constituent_head("NP", (the, cat)) == ("cat", "NN")
+    assert SpineNode("NP", (the, cat), None).state.head == "cat"
+    # a later child of a worse rank does not take over
+    assert SpineNode("NP", (the, cat, the), None).state.head == "cat"
 
 
 def _scan_head(label, ordered):
@@ -213,6 +222,8 @@ def test_head_ranks_match_priority_scan(label, kids):
     ordered = children if direction == "left" else children[::-1]
     assert head_child(label, children) is _scan_head(label, ordered)
     assert open_constituent_head(label, children) == head_of(_scan_head(label, children[::-1]))
+    # The state's open head, attached one child at a time, is the same word.
+    assert SpineNode(label, children, None).state.head == head_of(_scan_head(label, children[::-1]))[0]
 
 
 def test_c_command_heads_nearest_first():
@@ -614,41 +625,6 @@ def test_depths_off_the_benchmark_are_pinned(desk_replay, g1_trees, tmp_path, sp
     assert hashlib.sha256((tmp_path / "g1.model").read_bytes()).hexdigest() == model_sha
 
 
-def _reference_extract_values(model, spine, lhs):
-    """``extract_values`` as it was before it tested the factor separator
-    in place of splitting the label: the reference it must match."""
-    base, consumed = split_factored(lhs)
-    if consumed:
-        parent_spine = spine.parent
-        within = spine.children
-    else:
-        parent_spine = spine
-        within = ()
-    siblings = parent_spine.children if parent_spine is not None else ()
-    y_s = siblings[-1].label if siblings else None
-    parent = parent_spine.label if parent_spine is not None else None
-    grand = parent_spine.parent if parent_spine is not None else None
-    grand_label = grand.label if grand is not None else None
-    if lhs not in model.grammar.preterminals:
-        path = LEFT
-        psibs = grand.children if grand is not None else ()
-        conj = None
-        if y_s == CONJ_LABEL and len(siblings) >= 2 and siblings[-2].children:
-            conj = siblings[-2].children[0].label
-        head = open_constituent_head(base, within)
-        values = (lhs, parent, y_s, grand_label, psibs[-1].label if psibs else None, conj,
-                  head[0] if head else None)
-    elif y_s is None:
-        path = MIDDLE
-        first = next(c_command_heads(spine), None)
-        values = (lhs, parent, y_s, grand_label, first[1] if first else None, first[0] if first else None)
-    else:
-        path = RIGHT
-        heads = list(islice(c_command_heads(spine), 2))
-        values = (lhs, parent, y_s, heads[0][0] if heads else None, heads[1][0] if len(heads) > 1 else None)
-    return path, values[: model.config.depth_for(path) + 1]
-
-
 @pytest.mark.parametrize("spec", [*PRESETS, "3,2,1", "0,5,0", "1,4,3", "6,1,1", "2,0,3"])
 def test_extract_values_matches_reference_on_desk(desk_replay, spec):
     config = CondConfig(*map(int, spec.split(","))) if "," in spec else CondConfig.from_preset(spec)
@@ -657,3 +633,35 @@ def test_extract_values_matches_reference_on_desk(desk_replay, spec):
     assert cm.max_depth == config.max_depth
     for spine, rule in expansions:
         assert cm.extract_values(spine, rule.lhs) == _reference_extract_values(cm, spine, rule.lhs)
+
+
+# Trees whose part-of-speech pool includes the conjunction label, each
+# corpus led by a coordination of two phrases, so the left path's
+# conjunction peek fires.
+_CC_LEAF = st.builds(_pt, st.sampled_from(["A", "B", CONJ_LABEL]), st.sampled_from(["x", "y", "and"]))
+_CC_SUBTREE = st.recursive(
+    _CC_LEAF,
+    lambda kids: st.builds(Tree, st.sampled_from(["S", "NP", "VP"]), st.lists(kids, min_size=1, max_size=4)),
+    max_leaves=10,
+)
+_CC_PHRASE = st.builds(Tree, st.sampled_from(["S", "NP", "VP"]), st.lists(_CC_SUBTREE, min_size=1, max_size=4))
+_CC_CORPUS = st.builds(
+    lambda first, second, rest: [Tree("S", (first, _pt(CONJ_LABEL, "and"), second)), *rest],
+    _CC_PHRASE, _CC_PHRASE, st.lists(_CC_PHRASE, max_size=3),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(trees=_CC_CORPUS)
+def test_extract_values_matches_reference_with_conjunctions(trees):
+    fact = factored_corpus(trees)
+    grammar = induce_pcfg(fact)
+    expansions = list(replay(fact))
+    peeks = 0
+    for depths in PRESETS.values():
+        cm = ContextModel(grammar, CondConfig(*depths))
+        for spine, rule in expansions:
+            got = cm.extract_values(spine, rule.lhs)
+            assert got == _reference_extract_values(cm, spine, rule.lhs)
+            peeks += got[0] == LEFT and len(got[1]) > 5 and got[1][5] is not None
+    assert peeks

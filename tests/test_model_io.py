@@ -472,6 +472,16 @@ def test_models_at_odd_depths_load(depths, tmp_path):
         assert load_model(str(path)).context.tables == model.context.tables
 
 
+def test_bucket_zero_weights_of_zero_load(g1_model, tmp_path):
+    """A save writes bucket-0 weights only as 0.0 (the benchmark's desk model has such rows), and they load."""
+    path = tmp_path / "model"
+    save_model(g1_model.model, str(path))
+    path.write_text(path.read_text() + "clam middle 1 0 0.0\nngram lam 1 0 0.0\n")
+    loaded = load_model(str(path))
+    assert loaded.context.lambdas[("middle", 1, 0)] == 0.0
+    assert loaded.ngram.lambdas[(1, 0)] == 0.0
+
+
 def test_vocabulary_is_the_grammar_words_and_unk(g1_model, desk):
     g1_train = as_corpus(fixture_trees("g1.trees"), "train")
     for model, corpus in ((g1_model.model, g1_train), (desk.models["all"], desk.train)):

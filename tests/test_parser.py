@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import heapq
 import itertools
 import math
@@ -7,11 +8,13 @@ from functools import partial
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from support import build_parser, fixture_sentences, fixture_trees, random_corpus, reference_apply_rule
+from support import (
+    build_parser, fixture_sentences, fixture_trees, random_corpus, reference_apply_rule, reference_extract_values,
+)
 from tdparse.grammar import left_factor_tree, log_tree_probability, unfactor_tree
 from tdparse.oracle import derivation_tree, enumerate_derivations
 from tdparse import conditioning
-from tdparse.conditioning import LEFT
+from tdparse.conditioning import LEFT, ContextState
 from tdparse import parser as parser_module
 from tdparse.parser import Analysis, BeamParser, ParseError, ParserConfig, Unreachable, beam_threshold, queue_mass
 from tdparse.treebank import AXIOM, END_TOKEN, Tree, augment_with_stop, parse_trees
@@ -523,9 +526,13 @@ class UncachedContext:
         self.context = context
         self.grammar = context.grammar
 
+    def values(self, spine, lhs):
+        c = self.context
+        return c.extract_values(spine, lhs) if c.config.max_depth else (LEFT, (lhs,))
+
     def scorer(self, spine, lhs):
         c = self.context
-        path, values = c.extract_values(spine, lhs) if c.config.max_depth else (LEFT, (lhs,))
+        path, values = self.values(spine, lhs)
         prob = c.estimator((path,), values[:1], c._levels(values))
 
         def score(rid):
@@ -738,6 +745,63 @@ def test_site_cache_cap_changes_no_output(desk, monkeypatch):
     for words in desk.sents:
         _same_search(parser, reference, words)
     assert capped.largest == 4
+
+
+class WalkingContext(UncachedContext):
+    """Uncached scoring that reads no spine state: the values come from walking the spine."""
+
+    def values(self, spine, lhs):
+        return reference_extract_values(self.context, spine, lhs)
+
+
+class WatchedStates(dict):
+    """A state table that checks its cap on every write and keeps the states each drop forgets."""
+
+    def __init__(self):
+        super().__init__()
+        self.largest = 0
+        self.dropped = []
+
+    def __setitem__(self, key, value):
+        super().__setitem__(key, value)
+        self.largest = max(self.largest, len(self))
+        assert self.largest <= conditioning.STATE_CACHE_CAP
+
+    def clear(self):
+        self.dropped.extend(self.values())
+        super().clear()
+
+    def reachable(self):
+        """The states reachable from the root: through its fields, or through transitions in the table."""
+        following = {}
+        for key, state in self.items():
+            if isinstance(key[0], ContextState):
+                following.setdefault(key[0], []).append(state)
+        seen = {}
+        todo = [conditioning.ROOT]
+        while todo:
+            obj = todo.pop()
+            if id(obj) in seen:
+                continue
+            seen[id(obj)] = obj
+            todo.extend(o for o in gc.get_referents(obj) if isinstance(o, (tuple, list, dict, ContextState)))
+            if isinstance(obj, ContextState):
+                todo.extend(following.get(obj, ()))
+        return {obj for obj in seen.values() if isinstance(obj, ContextState)}
+
+
+def test_state_table_cap_changes_no_output(desk, monkeypatch):
+    table = WatchedStates()
+    monkeypatch.setattr(conditioning, "STATE_CACHE_CAP", 64)
+    monkeypatch.setattr(conditioning, "_STATES", table)
+    m = desk.models["all"]
+    parser = BeamParser(m.grammar, m.context, m.lookahead)
+    reference = UnmemoizedParser(m.grammar, WalkingContext(m.context), m.lookahead, parser.config)
+    for words in desk.sents:
+        _same_search(parser, reference, words)
+        # A drop forgets every earlier state: none is reachable from the root.
+        assert table.reachable().isdisjoint(table.dropped)
+    assert table.dropped and table.largest >= 63
 
 
 class CappedParser(BeamParser):
