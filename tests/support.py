@@ -111,8 +111,9 @@ def open_constituent_head(label, children):
 
 
 def reference_extract_values(model, spine, lhs):
-    """``extract_values`` as it was before it read the spine's state: it walks
-    the spine's children.  The reference the state-based extraction must match."""
+    """The (path, values) of an expansion, worked out by walking the spine's
+    nodes and children: the reference that ``extract_values``, which reads
+    the spine's state, must match."""
     base, consumed = split_factored(lhs)
     if consumed:
         parent_spine = spine.parent
